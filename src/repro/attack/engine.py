@@ -1030,7 +1030,11 @@ class CollectionCache:
         return path if path.exists() else None
 
     def lookup(self, key: str) -> Optional[CollectionResult]:
-        """Return the cached pass for ``key``, or None."""
+        """Return the cached pass for ``key``, or None.
+
+        An unreadable on-disk bundle also answers None (a miss, counted
+        as ``cache.disk_corrupt``) instead of raising.
+        """
         with self._lock:
             result = self._entries.get(key)
         if result is not None:
@@ -1039,7 +1043,13 @@ class CollectionCache:
         if path is not None:
             from repro.eval.io import load_collection
 
-            result = load_collection(path)
+            try:
+                result = load_collection(path)
+            except Exception:  # noqa: BLE001 - any unreadable bundle
+                # A truncated or corrupt bundle is a miss: the caller
+                # collects again and store() atomically replaces it.
+                metrics().count("cache.disk_corrupt")
+                return None
             with self._lock:
                 self._entries[key] = result
             return result

@@ -13,6 +13,8 @@ results.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
 from typing import Union
 
@@ -98,17 +100,30 @@ def save_collection(result: CollectionResult, path: _PathLike) -> None:
 
     The on-disk leg of the engine's :class:`CollectionCache`: a pass
     saved here can be reloaded by a later process instead of re-running
-    render→transmit→detect.
+    render→transmit→detect. The write is atomic: the bundle is written
+    to a temporary file beside ``path`` and renamed over it only once
+    complete, so a crash mid-write never leaves a truncated bundle under
+    the final name.
     """
-    np.savez_compressed(
-        Path(path),
-        X=result.features.X,
-        y_features=np.asarray(result.features.y, dtype=str),
-        images=result.spectrograms.images,
-        y_images=np.asarray(result.spectrograms.y, dtype=str),
-        fs=np.array([result.features.fs]),
-        n_played=np.array([result.features.n_played]),
-    )
+    path = Path(path)
+    if not path.name.endswith(".npz"):  # np.savez's naming rule
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            np.savez_compressed(
+                handle,
+                X=result.features.X,
+                y_features=np.asarray(result.features.y, dtype=str),
+                images=result.spectrograms.images,
+                y_images=np.asarray(result.spectrograms.y, dtype=str),
+                fs=np.array([result.features.fs]),
+                n_played=np.array([result.features.n_played]),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_collection(path: _PathLike) -> CollectionResult:

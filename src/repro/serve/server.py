@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attack.features import extract_features
+from repro.attack.features import extract_features, extract_features_batch
 from repro.obs import metrics, trace, tracer
 from repro.parallel import ExecutorPool
 from repro.serve.registry import ModelRegistry
@@ -655,39 +655,57 @@ class InferenceServer:
     def _prepare_rows(
         self, live: List[_Request], bundle, model_ref: str
     ) -> Tuple[List[np.ndarray], List[_Request]]:
-        """Feature rows for the live requests; bad inputs answered early."""
-        rows: List[np.ndarray] = []
-        prepared: List[_Request] = []
+        """Feature rows for the live requests; bad inputs answered early.
+
+        Windows are extracted once per ``fs`` with one
+        :func:`extract_features_batch` call (byte-identical to
+        per-window :func:`extract_features`). If that call faults, each
+        of its windows is extracted alone, so only a poison window
+        answers ``error``.
+        """
+        rows: List[Optional[np.ndarray]] = [None] * len(live)
+        windows: Dict[float, List[int]] = {}
         n_features = bundle.n_features
-        for request in live:
-            try:
-                if request.kind == "window":
-                    row = np.nan_to_num(
-                        extract_features(request.payload, request.fs), nan=0.0
-                    )
-                else:
-                    row = request.payload
-                    if row.size != n_features:
-                        raise ValueError(
-                            f"feature vector has {row.size} entries; bundle "
-                            f"{model_ref} serves {n_features} "
-                            f"({bundle.manifest.feature_schema[:3]}…)"
-                        )
-            except Exception as exc:  # noqa: BLE001 - bad input, not a crash
-                metrics().count("serve.errors", model=model_ref, reason="input")
-                self._answer(
+        for i, request in enumerate(live):
+            if request.kind == "window":
+                windows.setdefault(request.fs, []).append(i)
+            elif request.payload.size != n_features:
+                self._reject_input(
                     request,
-                    ServeResult(
-                        request_id=request.request_id,
-                        status="error",
-                        model=model_ref,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
+                    model_ref,
+                    f"ValueError: feature vector has {request.payload.size} entries; "
+                    f"bundle {model_ref} serves {n_features} "
+                    f"({bundle.manifest.feature_schema[:3]}…)",
                 )
-                continue
-            rows.append(row)
-            prepared.append(request)
-        return rows, prepared
+            else:
+                rows[i] = request.payload
+        for fs, idxs in windows.items():
+            try:
+                block = extract_features_batch([live[i].payload for i in idxs], fs)
+                extracted = list(np.nan_to_num(block, nan=0.0))
+            except Exception:  # noqa: BLE001 - isolate the poison window
+                metrics().count("serve.extract_isolation", model=model_ref)
+                extracted = [self._extract_alone(live[i], model_ref) for i in idxs]
+            for i, row in zip(idxs, extracted):
+                rows[i] = row
+        prepared = [request for request, row in zip(live, rows) if row is not None]
+        return [row for row in rows if row is not None], prepared
+
+    def _extract_alone(self, request: _Request, model_ref: str) -> Optional[np.ndarray]:
+        try:
+            return np.nan_to_num(extract_features(request.payload, request.fs), nan=0.0)
+        except Exception as exc:  # noqa: BLE001 - bad input, not a crash
+            self._reject_input(request, model_ref, f"{type(exc).__name__}: {exc}")
+            return None
+
+    def _reject_input(self, request: _Request, model_ref: str, error: str) -> None:
+        metrics().count("serve.errors", model=model_ref, reason="input")
+        self._answer(
+            request,
+            ServeResult(
+                request_id=request.request_id, status="error", model=model_ref, error=error
+            ),
+        )
 
     def _predict_group(
         self, bundle, X: np.ndarray, model_ref: str

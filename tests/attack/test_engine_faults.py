@@ -133,3 +133,49 @@ class TestExceptionAccounting:
         assert result.features.X.shape[1] == 24
         assert np.all(np.isfinite(result.features.X))
         assert global_stats().transmits == 5
+
+
+class TestCrashSafeDiskCache:
+    """The on-disk cache survives torn writes and corrupt bundles."""
+
+    def test_truncated_bundle_is_a_counted_miss(self, tiny_tess, loud_channel, tmp_path):
+        from repro.attack.engine import CollectionCache
+        from repro.eval.io import load_collection
+
+        reset_observability()
+        specs = tiny_tess.specs[:4]
+        first = collect_datasets(
+            tiny_tess, loud_channel, specs=specs, seed=9,
+            cache=CollectionCache(cache_dir=tmp_path),
+        )
+        (path,) = tmp_path.glob("*.npz")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+        cold = CollectionCache(cache_dir=tmp_path)
+        again = collect_datasets(
+            tiny_tess, loud_channel, specs=specs, seed=9, cache=cold
+        )
+        assert cold.hits == 0 and cold.misses == 1
+        assert metrics().counter_total("cache.disk_corrupt") == 1
+        assert again.features.X.tobytes() == first.features.X.tobytes()
+        # The re-collected pass replaced the corrupt bundle.
+        assert load_collection(path).features.X.tobytes() == first.features.X.tobytes()
+
+    def test_torn_write_leaves_no_bundle(self, tiny_tess, loud_channel, tmp_path, monkeypatch):
+        from repro.eval.io import save_collection
+
+        result = collect_datasets(tiny_tess, loud_channel, specs=tiny_tess.specs[:3], seed=2)
+
+        def torn(file, **arrays):
+            if hasattr(file, "write"):
+                file.write(b"PK\x03\x04 torn")
+            else:
+                with open(file, "wb") as handle:
+                    handle.write(b"PK\x03\x04 torn")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_collection(result, tmp_path / "pass.npz")
+        assert list(tmp_path.iterdir()) == []

@@ -160,3 +160,74 @@ class TestExtractFeatures:
     def test_finite_for_typical_region(self, region):
         vec = extract_features(region, 420.0)
         assert np.all(np.isfinite(vec))
+
+
+class TestPlanCache:
+    def test_bounded_and_evicted_length_rebuilds_identically(self, monkeypatch):
+        """Client-chosen window lengths cannot grow the constants cache
+        without bound, and an evicted length rebuilds byte-identically."""
+        from collections import OrderedDict
+
+        from repro.attack import features
+
+        monkeypatch.setattr(features, "_PLAN_CACHE", OrderedDict())
+        monkeypatch.setattr(features, "_PLAN_CACHE_MAX", 4)
+        rng = np.random.default_rng(3)
+        first = rng.normal(size=100)
+        before = extract_features(first, 420.0)
+        assert (100, 420.0, "d") in features._PLAN_CACHE
+        for n in range(101, 111):
+            extract_features(rng.normal(size=n), 420.0)
+            assert len(features._PLAN_CACHE) <= 4
+        assert (100, 420.0, "d") not in features._PLAN_CACHE
+        assert extract_features(first, 420.0).tobytes() == before.tobytes()
+        assert (100, 420.0, "d") in features._PLAN_CACHE
+
+    def test_recently_used_length_survives(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.attack import features
+
+        monkeypatch.setattr(features, "_PLAN_CACHE", OrderedDict())
+        monkeypatch.setattr(features, "_PLAN_CACHE_MAX", 3)
+        hot = np.ones(64)
+        for n in (65, 66, 67, 68):
+            extract_features(hot, 420.0)
+            extract_features(np.ones(n), 420.0)
+        assert (64, 420.0, "d") in features._PLAN_CACHE
+
+    def test_threads_share_a_tiny_cache_safely(self, monkeypatch):
+        """More threads than cores churn a 5-plan cache; every answer
+        still matches its single-threaded bytes and the cap holds."""
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.attack import features
+
+        rng = np.random.default_rng(11)
+        rows = [rng.normal(size=n) for n in range(40, 60)]
+        expected = [extract_features(row, 420.0).tobytes() for row in rows]
+        monkeypatch.setattr(features, "_PLAN_CACHE", OrderedDict())
+        monkeypatch.setattr(features, "_PLAN_CACHE_MAX", 5)
+        mismatches = []
+
+        def churn(seed):
+            order = np.random.default_rng(seed).integers(0, len(rows), size=150)
+            for i in order:
+                if extract_features(rows[i], 420.0).tobytes() != expected[i]:
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(features._PLAN_CACHE) <= 5
