@@ -13,7 +13,8 @@ Two comparisons share this module:
   batched pipeline — asserting byte-identical datasets and a >= 3x
   throughput win. Both passes run after a small warm-up so process-wide
   design caches (filter coefficients, the glottal pulse bank) are
-  excluded from the comparison. The measured ratio is written to
+  excluded from the comparison, and each timed pass starts from an
+  empty render memo so synthesis stays in it. The measured ratio is written to
   ``BENCH_7.json`` (override with ``EMOLEAK_DATA_BENCH_OUT``) so CI
   merges it into the bench-trajectory artifact.
 """
@@ -28,7 +29,7 @@ import time
 import pytest
 
 from repro.attack.engine import CollectionCache, collect_datasets
-from repro.datasets import build_tess
+from repro.datasets import base, build_tess
 from repro.eval.experiment import collect_scenario_datasets
 from repro.eval.suite import TABLE_DEFINITIONS, run_table
 from repro.phone import VibrationChannel
@@ -139,6 +140,9 @@ def test_batched_collection_beats_per_utterance(benchmark):
     out = {}
 
     def collect(pipeline):
+        # Synthesis is part of the data plane this gate measures: start
+        # each pass from an empty render memo, or both would skip it.
+        base._RENDER_MEMO.clear()
         return collect_datasets(corpus, channel, seed=0, pipeline=pipeline)
 
     def run():
