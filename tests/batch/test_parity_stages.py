@@ -89,18 +89,22 @@ class TestFormantFilterBatch:
 
 
 class TestRenderBatch:
-    def test_corpus_render_batch_parity(self, corpus):
+    def test_corpus_render_batch_parity(self, corpus, render_memo):
         specs = corpus.specs[:10]
         ref = [corpus.render(s) for s in specs]
+        render_memo.clear()  # the batch must synthesise, not hit the memo
         got = corpus.render_batch(specs)
         assert len(got) == len(ref)
         for a, b in zip(ref, got):
             assert a.tobytes() == b.tobytes()
 
-    def test_batch_composition_independence(self, corpus):
+    def test_batch_composition_independence(self, corpus, render_memo):
         specs = corpus.specs[:6]
         whole = corpus.render_batch(specs)
-        pieces = corpus.render_batch(specs[:2]) + corpus.render_batch(specs[2:])
+        render_memo.clear()
+        head = corpus.render_batch(specs[:2])
+        render_memo.clear()
+        pieces = head + corpus.render_batch(specs[2:])
         for a, b in zip(whole, pieces):
             assert a.tobytes() == b.tobytes()
 

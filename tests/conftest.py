@@ -2,6 +2,10 @@
 
 Expensive artefacts (small corpora, collected datasets) are session-scoped
 so the cost is paid once.
+
+Every test gets an empty process-wide render memo, so a waveform the
+test renders is synthesised by that test and never served from another
+test's renders.
 """
 
 from __future__ import annotations
@@ -10,8 +14,17 @@ import numpy as np
 import pytest
 
 from repro.attack.pipeline import EmoLeakAttack
-from repro.datasets import build_tess
+from repro.datasets import base, build_tess
+from repro.memo import ByteBudgetMemo
 from repro.phone import VibrationChannel
+
+
+@pytest.fixture(autouse=True)
+def render_memo(monkeypatch):
+    """An empty render memo for this test; clear it to force re-synthesis."""
+    memo = ByteBudgetMemo(base.RENDER_MEMO_BYTES, "render.cache_evictions")
+    monkeypatch.setattr(base, "_RENDER_MEMO", memo)
+    return memo
 
 
 @pytest.fixture(scope="session")

@@ -21,9 +21,13 @@ class TestCorpusBasics:
         counts = corpus.class_counts()
         assert set(counts.values()) == {8}
 
-    def test_render_deterministic(self, corpus):
+    def test_render_deterministic(self, corpus, render_memo):
         spec = corpus.specs[0]
-        assert np.array_equal(corpus.render(spec), corpus.render(spec))
+        first = corpus.render(spec)
+        render_memo.clear()  # the second render must synthesise again
+        again = corpus.render(spec)
+        assert again is not first
+        assert np.array_equal(first, again)
 
     def test_render_distinct_specs_differ(self, corpus):
         a = corpus.render(corpus.specs[0])

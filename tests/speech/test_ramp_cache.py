@@ -86,7 +86,7 @@ def test_evicted_ramp_rebuilds_byte_identical(monkeypatch):
     assert rebuilt.tobytes() == first.tobytes()
 
 
-def test_render_unchanged_by_cache_churn(monkeypatch):
+def test_render_unchanged_by_cache_churn(monkeypatch, render_memo):
     """Synthesis output must not depend on cache state (golden stability)."""
     from repro.datasets import build_tess
 
@@ -99,5 +99,6 @@ def test_render_unchanged_by_cache_churn(monkeypatch):
     synth_mod._RAMP_CACHE.clear()
     for n in range(2, 50):
         _cached_ramp(0.0, 1.0, n)
+    render_memo.clear()  # re-synthesise rather than return the memoised wave
     again = corpus.render(spec)
     assert again.tobytes() == baseline.tobytes()
