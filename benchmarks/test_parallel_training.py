@@ -8,9 +8,10 @@ Two comparisons share this module:
   accuracy. Collection is pre-warmed into a shared cache so the
   comparison isolates the training/evaluation engine. Skipped on
   single-core machines, where there is no speedup to measure.
-- **Collection data plane**: the same corpus collected twice through
-  ``collect_datasets`` — the per-utterance reference pipeline, then the
-  batched pipeline — asserting byte-identical datasets and a >= 3x
+- **Collection data plane**: the same corpus collected twice — by the
+  frozen one-utterance-at-a-time reference
+  (``tests/attack/_collect_reference.py``), then by the batched pipeline
+  of ``collect_datasets`` — asserting byte-identical datasets and a >= 3x
   throughput win. Both passes run after a small warm-up so process-wide
   design caches (filter coefficients, the glottal pulse bank) are
   excluded from the comparison, and each timed pass starts from an
@@ -35,6 +36,7 @@ from repro.eval.suite import TABLE_DEFINITIONS, run_table
 from repro.phone import VibrationChannel
 
 from benchmarks._common import print_header
+from tests.attack._collect_reference import collect_reference
 
 _CORES = os.cpu_count() or 1
 
@@ -143,20 +145,20 @@ def test_batched_collection_beats_per_utterance(benchmark):
         # Synthesis is part of the data plane this gate measures: start
         # each pass from an empty render memo, or both would skip it.
         base._RENDER_MEMO.clear()
+        if pipeline == "reference":
+            return collect_reference(corpus, channel, seed=0)
         return collect_datasets(corpus, channel, seed=0, pipeline=pipeline)
 
     def run():
         # Warm process-wide design caches (filter coefficients, the
         # glottal pulse bank) so both timed passes start equal.
         warm = corpus.specs[:8]
-        for pipeline in ("per_utterance", "batched"):
-            collect_datasets(
-                corpus, channel, specs=warm, seed=0, pipeline=pipeline
-            )
-        out["reference"] = collect("per_utterance")
+        collect_reference(corpus, channel, specs=warm, seed=0)
+        collect_datasets(corpus, channel, specs=warm, seed=0, pipeline="batched")
+        out["reference"] = collect("reference")
         out["batched"] = collect("batched")
         out["reference_s"], out["batched_s"] = _best_of_interleaved(
-            [lambda: collect("per_utterance"), lambda: collect("batched")]
+            [lambda: collect("reference"), lambda: collect("batched")]
         )
         return out
 
@@ -173,7 +175,7 @@ def test_batched_collection_beats_per_utterance(benchmark):
           f"({n / out['batched_s']:.0f} utt/s, {ratio:.2f}x)")
 
     DATA_PLANE_RESULTS.update(
-        schema_note="per_utterance vs batched collect_datasets, warm caches",
+        schema_note="frozen per-utterance reference vs batched collect_datasets, warm caches",
         n_utterances=n,
         reference_s=out["reference_s"],
         batched_s=out["batched_s"],

@@ -1,16 +1,21 @@
-"""Parallel collection engine: work items, executors, caching, stats.
+"""Collection engine: batched stages, executors, caching, stats.
 
 The collection stage — render each utterance, transmit it through the
 vibration channel, detect speech regions, extract the Table II features
 and the 32x32 spectrogram image — dominates the cost of regenerating a
-paper table, and the per-utterance (table-top) protocol is embarrassingly
-parallel. This module turns that loop into an engine:
+paper table. The paper's table-top protocol plays one utterance at a
+time; the engine runs it as stacked chunks of utterances:
 
 - **Deterministic work items**: every utterance gets its *own* RNG
   derived from ``(seed, item index)``, so the collected datasets are
-  byte-identical at any worker count and under any executor.
-- **Pluggable executors**: ``serial`` (the reference path), ``thread``
-  and ``process``; selected by name or defaulted from ``n_jobs``.
+  byte-identical at any chunk size, worker count and executor.
+- **One stack of batched stages**: :func:`_detect_chunk` (render,
+  transmit, detect, best region) then :func:`_products` (features and
+  images) serve every table-top pass, :func:`iter_region_samples` and
+  the continuous session's products. A chunk that fails re-runs its
+  rows as chunks of one; ``pipeline="per_utterance"`` is chunks of one.
+- **Executors**: chunks fan out through :func:`repro.parallel.run_tasks`
+  (``serial``, ``thread`` or ``process``).
 - **Single-pass collection**: :func:`collect_datasets` produces the
   :class:`FeatureDataset` *and* the :class:`SpectrogramDataset` from one
   shared render→transmit→detect pass, instead of paying collection twice
@@ -20,12 +25,11 @@ parallel. This module turns that loop into an engine:
   performs each collection exactly once; an optional on-disk store
   persists passes across runs (see :mod:`repro.eval.io`).
 - **Instrumentation**: every stage runs inside a :mod:`repro.obs` span
-  (``render`` → ``transmit`` → ``detect`` → ``product`` under a
-  ``collect`` pass span), so timings survive exceptions and land in the
-  process-wide metrics registry with per-scenario labels.
-  :class:`CollectionStats` remains the backward-compatible summary
-  object: per-pass records are built from the span durations, and
-  :func:`global_stats` is a thin view over the registry.
+  (``render`` → ``transmit`` → ``detect`` → ``product``). Each chunk
+  records under :func:`repro.obs.capture_observability` on whatever
+  worker runs it, and the pass merges the chunks under its ``collect``
+  span. A pass's :class:`CollectionStats` is the
+  :meth:`~CollectionStats.from_registry` view of what it recorded.
 
 The continuous-session (handheld) protocol is inherently sequential —
 the hand-motion process is one continuous waveform across the session —
@@ -37,31 +41,29 @@ transmit chain serial, preserving the exact numerics of
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attack.features import (
-    FEATURE_NAMES,
-    extract_features,
-    extract_features_batch,
-)
+from repro.attack.features import FEATURE_NAMES, extract_features_batch
 from repro.attack.labeling import LABELING_VERSION, label_regions, match_regions
 from repro.attack.regions import Region, RegionDetector
-from repro.attack.specimages import (
-    region_spectrogram_image,
-    region_spectrogram_images_batch,
-)
+from repro.attack.specimages import region_spectrogram_images_batch
 from repro.batch import batch_dtype
 from repro.datasets import base as datasets_base
 from repro.datasets.base import Corpus, UtteranceSpec, resolve_task
 from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase
 from repro.memo import ByteBudgetMemo
-from repro.obs import MetricsRegistry, metrics, trace, tracer
-from repro.parallel import EXECUTOR_NAMES, resolve_executor
-from repro.parallel import run_tasks as _run_tasks_generic
+from repro.obs import (
+    MetricsRegistry,
+    capture_observability,
+    merge_worker_trace,
+    metrics,
+    trace,
+)
+from repro.parallel import EXECUTOR_NAMES, resolve_executor, run_tasks
 from repro.phone.channel import Placement, VibrationChannel
 
 __all__ = [
@@ -82,17 +84,16 @@ __all__ = [
     "default_cache",
     "global_stats",
     "reset_global_stats",
-    "run_tasks",
 ]
 
 #: Seconds of silence padded around each per-utterance playback so the
 #: region detector sees the noise floor (matches the paper's protocol).
 _UTTERANCE_PAD_S = 0.3
 
-#: Collection pipelines: ``batched`` stacks utterances into chunks and runs
-#: each stage across the batch axis (the default; byte-identical to the
-#: reference under the float64 batch policy); ``per_utterance`` is the
-#: original one-utterance-at-a-time reference path.
+#: Collection pipelines: ``batched`` stacks utterances into chunks of
+#: ``batch_chunk`` and runs each stage across the batch axis (the
+#: default); ``per_utterance`` plays one utterance at a time, i.e.
+#: chunks of one. Results are identical either way.
 PIPELINES: Tuple[str, ...] = ("batched", "per_utterance")
 DEFAULT_PIPELINE = "batched"
 
@@ -138,18 +139,6 @@ class CollectionStats:
     n_jobs: int = 1
     executor: str = "serial"
 
-    def add(self, other: "CollectionStats") -> None:
-        """Accumulate another stats record into this one (in place)."""
-        for name in _COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name in _TIMER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        # An aggregate reports the widest pool it saw (cache-hit records
-        # carry the defaults and must not mask a parallel pass).
-        if other.n_jobs > self.n_jobs:
-            self.n_jobs = other.n_jobs
-            self.executor = other.executor
-
     def summary(self) -> str:
         """One-line human-readable account of the pass."""
         return (
@@ -161,31 +150,13 @@ class CollectionStats:
             f"wall {self.total_s:.2f}s, {self.executor} x{self.n_jobs}]"
         )
 
-    # -- registry view ------------------------------------------------------
-    def to_registry(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Express this record as observability metrics.
-
-        Counter fields become counters, stage timers become one timer
-        observation each (``total_s`` under the ``collect`` timer), and
-        the worker pool becomes the high-water ``engine.n_jobs`` gauge —
-        so :meth:`add` on two records agrees with
-        :meth:`MetricsRegistry.merge` on their registries.
-        """
-        registry = registry if registry is not None else MetricsRegistry()
-        for name in _COUNTER_FIELDS:
-            value = getattr(self, name)
-            if value:
-                registry.count(name, value)
-        for name, timer in _TIMER_FIELDS.items():
-            value = getattr(self, name)
-            if value:
-                registry.observe(timer, value)
-        registry.gauge("engine.n_jobs", self.n_jobs, executor=self.executor)
-        return registry
-
     @classmethod
     def from_registry(cls, registry: MetricsRegistry) -> "CollectionStats":
-        """Thin :class:`CollectionStats` view over a metrics registry."""
+        """Thin :class:`CollectionStats` view over a metrics registry.
+
+        Counter fields read the counters of the same name, stage timers
+        the span timers, and the pool the widest ``engine.n_jobs`` gauge.
+        """
         stats = cls()
         for name in _COUNTER_FIELDS:
             setattr(stats, name, int(registry.counter_total(name)))
@@ -222,10 +193,10 @@ _TIMER_FIELDS: Dict[str, str] = {
 def global_stats() -> CollectionStats:
     """The process-wide collection counters.
 
-    A view assembled from the process-wide metrics registry: counters
-    come from :func:`_publish`, stage timers from the engine's spans —
-    which record on exception paths too, so time spent in a failing
-    pass is still accounted.
+    A view assembled from the process-wide metrics registry. Stage
+    timers come from the engine's spans, which record on exception paths
+    too, so time spent in a failing pass is still accounted; counters
+    are counted only by finished chunks and passes.
     """
     return CollectionStats.from_registry(metrics())
 
@@ -233,22 +204,6 @@ def global_stats() -> CollectionStats:
 def reset_global_stats() -> None:
     """Zero the process-wide collection counters (the metrics registry)."""
     metrics().clear()
-
-
-def _publish(stats: CollectionStats) -> None:
-    """Mirror a finished pass's counters into the process-wide registry.
-
-    Only the *counter* fields are published: stage timers already
-    reached the registry through span exits (or, for process-pool runs,
-    through the aggregate spans recorded by the parent), so publishing
-    them again would double-count.
-    """
-    registry = metrics()
-    for name in _COUNTER_FIELDS:
-        value = getattr(stats, name)
-        if value:
-            registry.count(name, value)
-    registry.gauge("engine.n_jobs", stats.n_jobs, executor=stats.executor)
 
 
 # ---------------------------------------------------------------------------
@@ -314,63 +269,13 @@ class CollectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Executors
-# ---------------------------------------------------------------------------
-
-# Per-worker context for the process executor; installed once per worker
-# via the pool initializer so the corpus/channel are pickled once, not
-# once per work item.
-_WORKER_CONTEXT: Optional["_PassConfig"] = None
-
-
-def _init_worker(config: "_PassConfig") -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = config
-    # A worker lives for one pass, so a waveform it stores is never read
-    # again: it still reads what it inherited, but stores nothing.
-    datasets_base._RENDER_MEMO.budget_bytes = 0
-
-
-def _process_entry(index_and_spec: Tuple[int, UtteranceSpec]):
-    index, spec = index_and_spec
-    return _run_work_item(_WORKER_CONTEXT, index, spec)
-
-
-def run_tasks(
-    fn: Callable,
-    items: Sequence,
-    n_jobs: int = 1,
-    executor: Optional[str] = None,
-) -> List:
-    """Run ``fn`` over ``items`` with the chosen executor, preserving order.
-
-    Thin wrapper over :func:`repro.parallel.run_tasks` that keeps the
-    engine's historical restriction: the ``process`` executor runs
-    through :func:`collect_datasets` (which ships the pass config via a
-    pool initializer), not through this helper.
-    """
-    if _resolve_executor(n_jobs, executor) == "process":
-        raise ValueError(
-            "the process executor runs through collect_datasets(); "
-            "run_tasks() only supports 'serial' and 'thread'"
-        )
-    return _run_tasks_generic(fn, items, n_jobs=n_jobs, executor=executor)
-
-
-#: Executor-name resolution now lives in :mod:`repro.parallel` (shared
-#: with the training/evaluation engine); kept under the old name for the
-#: engine's internal call sites.
-_resolve_executor = resolve_executor
-
-
-# ---------------------------------------------------------------------------
-# Work items (per-utterance protocol)
+# Work items and the batched stages
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _PassConfig:
-    """Everything a worker needs to process one utterance work item."""
+    """Everything a chunk task needs; shipped with every task."""
 
     corpus: Corpus
     channel: VibrationChannel
@@ -383,6 +288,13 @@ class _PassConfig:
     # channel (defense.apply ran in collect_datasets), so rate-cap
     # stages are no-ops here and the stream rate equals accel_fs.
     defense: Optional[object] = None
+    # Compute dtype of the product stage: the caller's batch policy for
+    # table-top passes (read once, so every worker uses it), float64 for
+    # the continuous session.
+    dtype: np.dtype = np.dtype(np.float64)
+    # The process that built the config; a task running in any other
+    # process is a worker of the pass's own process pool.
+    origin_pid: int = field(default_factory=os.getpid)
 
 
 def _item_rng(seed: int, index: int) -> np.random.Generator:
@@ -390,361 +302,282 @@ def _item_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([0x454D4F, seed & 0xFFFFFFFF, index])
 
 
-def _item_channel(config: _PassConfig, index: int) -> VibrationChannel:
-    """A channel safe for this work item.
+def _detect_chunk(
+    config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]
+) -> Tuple[List[np.ndarray], List[Optional[Region]], int]:
+    """Render, transmit and detect one stacked chunk of work items.
 
-    Table-top transmission is stateless given an explicit RNG, so the
-    shared channel can be used from any worker. Handheld transmission
-    advances the motion process, so each item gets its own reseeded copy
-    — which is also what makes per-utterance handheld collection
-    deterministic under parallelism.
+    Returns each row's sensor trace, its most energetic region (None
+    where the detector missed the utterance — the paper's dropped
+    ~10 %) and the number of regions detected in the chunk. Raises on
+    any per-row pathology (NaN audio poisoning the shared detector
+    statistics, a corpus that rejects a spec, …).
     """
-    if config.channel.placement is not Placement.HANDHELD:
-        return config.channel
-    channel = copy.deepcopy(config.channel)
-    channel.reseed(int(config.seed & 0xFFFFFF) * 1000003 + index)
-    return channel
-
-
-def _transmit_and_detect(config: _PassConfig, index: int, spec: UtteranceSpec):
-    """Render→transmit→detect one utterance work item.
-
-    Returns ``(trace, best_region|None, stats)``; the region is None when
-    the detector missed the utterance (the paper's dropped ~10 %).
-    """
-    stats = CollectionStats()
-    rng = _item_rng(config.seed, index)
-    corpus, detector = config.corpus, config.detector
-
-    with trace("render") as span:
-        audio = corpus.render(spec)
-    stats.renders += 1
-    stats.render_s += span.duration_s
-
-    # Pad with silence so the detector sees the noise floor.
-    pad = np.zeros(int(_UTTERANCE_PAD_S * corpus.audio_fs))
-    audio = np.concatenate([pad, audio, pad])
-
-    channel = _item_channel(config, index)
-    with trace("transmit") as span:
-        signal = channel.transmit(audio, corpus.audio_fs, rng)
-    stats.transmits += 1
-    stats.transmit_s += span.duration_s
-
-    if config.defense is not None:
-        signal = config.defense.postprocess(signal, channel.accel_fs)
-
-    with trace("detect") as span:
-        regions = detector.detect(signal, channel.accel_fs)
-    stats.detect_s += span.duration_s
-    stats.regions_detected += len(regions)
-    if not regions:
-        return signal, None, stats
-
-    # One utterance => take the most energetic region.
-    best = max(
-        regions,
-        key=lambda r: float(np.sum((r.slice(signal) - np.mean(r.slice(signal))) ** 2)),
-    )
-    stats.regions_used += 1
-    return signal, best, stats
-
-
-def _run_work_item(config: _PassConfig, index: int, spec: UtteranceSpec):
-    """One utterance through the full pipeline.
-
-    Returns ``(index, label|None, features|None, image|None, stats)``.
-    """
-    signal, best, stats = _transmit_and_detect(config, index, spec)
-    if best is None:
-        return index, None, None, None, stats
-
-    with trace("product") as span:
-        features = _feature_row(
-            signal, best, config.channel.accel_fs, config.feature_highpass_hz
-        )
-        image = _image_product(signal, best, config.size)
-    stats.product_s += span.duration_s
-    return index, spec.emotion, features, image, stats
-
-
-def _feature_row(
-    signal: np.ndarray,
-    region: Region,
-    fs: float,
-    feature_highpass_hz: Optional[float],
-) -> Optional[np.ndarray]:
-    """Table II feature vector for one region (None if too short)."""
-    samples = region.slice(signal)
-    if samples.size < 4:
-        return None
-    if feature_highpass_hz is not None and samples.size > 32:
-        from repro.dsp.filters import highpass
-
-        samples = highpass(samples, feature_highpass_hz, fs)
-    return extract_features(samples, fs)
-
-
-def _image_product(
-    signal: np.ndarray, region: Region, size: int
-) -> Optional[np.ndarray]:
-    """Spectrogram image for one region (None if too short)."""
-    if region.end - region.start < 8:
-        return None
-    return region_spectrogram_image(signal, region, size=size)
-
-
-def _collect_per_utterance(
-    config: _PassConfig,
-    specs: List[UtteranceSpec],
-    n_jobs: int,
-    executor: str,
-) -> Tuple[List, CollectionStats]:
-    """Fan the per-utterance work items out over the chosen executor."""
-    stats = CollectionStats(n_jobs=max(1, int(n_jobs)), executor=executor)
-    indexed = list(enumerate(specs))
-    ran_in_pool = executor == "process" and len(indexed) > 1 and n_jobs > 1
-    if ran_in_pool:
-        with ProcessPoolExecutor(
-            max_workers=max(1, int(n_jobs)),
-            initializer=_init_worker,
-            initargs=(config,),
-        ) as pool:
-            results = list(pool.map(_process_entry, indexed, chunksize=4))
-    else:
-        def run_one(pair):
-            return _run_work_item(config, pair[0], pair[1])
-
-        results = run_tasks(
-            run_one,
-            indexed,
-            n_jobs=n_jobs,
-            executor="serial" if executor == "process" else executor,
-        )
-    products = []
-    for result in results:
-        index, label, features, image, item_stats = result
-        stats.add(item_stats)
-        if label is not None:
-            products.append((index, label, features, image))
-    if ran_in_pool:
-        # Worker-process spans die with their workers; reconstruct the
-        # stage timings as aggregate spans so the parent's trace and
-        # registry still account for them (exactly once).
-        tr = tracer()
-        for field_name, span_name in _TIMER_FIELDS.items():
-            if span_name == "collect":
-                continue
-            tr.record(
-                span_name,
-                getattr(stats, field_name),
-                aggregated="worker-sum",
-                n_jobs=stats.n_jobs,
-            )
-    return products, stats
-
-
-# ---------------------------------------------------------------------------
-# Batched pipeline (stacked utterance chunks)
-# ---------------------------------------------------------------------------
-
-
-def _process_batch_entry(items: List[Tuple[int, UtteranceSpec]]):
-    return _run_batch_chunk(_WORKER_CONTEXT, items)
-
-
-def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]):
-    """One stacked chunk through every batched stage.
-
-    Raises on any per-row pathology (NaN audio poisoning the shared
-    detector statistics, a corpus that rejects a spec, …);
-    :func:`_run_batch_chunk` catches and degrades to per-row isolation.
-    """
-    stats = CollectionStats()
     corpus, detector = config.corpus, config.detector
     indices = [index for index, _ in items]
     specs = [spec for _, spec in items]
     rngs = [_item_rng(config.seed, index) for index in indices]
     n = len(items)
 
+    # Stage timers are keyed by status alone; the chunk size stays on
+    # the trace.
     render_batch = getattr(corpus, "render_batch", None)
-    with trace("render", n=n) as span:
+    with trace("render", n=n, metric_labels={}):
         if render_batch is not None:
             audios = render_batch(specs)
         else:
             audios = [corpus.render(spec) for spec in specs]
-    stats.renders += n
-    stats.render_s += span.duration_s
 
     # Pad with silence so the detector sees the noise floor.
     pad = np.zeros(int(_UTTERANCE_PAD_S * corpus.audio_fs))
     audios = [np.concatenate([pad, audio, pad]) for audio in audios]
 
-    with trace("transmit", n=n) as span:
+    with trace("transmit", n=n, metric_labels={}):
         if config.channel.placement is Placement.HANDHELD:
-            # Handheld motion is stateful: per-item reseeded clones keep
-            # the chunked run identical to the per-utterance reference.
-            signals = [
-                _item_channel(config, index).transmit(audio, corpus.audio_fs, rng)
-                for index, audio, rng in zip(indices, audios, rngs)
-            ]
+            # Handheld transmission advances the motion process, so each
+            # item gets its own reseeded copy — which is what makes it
+            # deterministic at any chunk size and under parallelism.
+            signals = []
+            for index, audio, rng in zip(indices, audios, rngs):
+                channel = copy.deepcopy(config.channel)
+                channel.reseed(int(config.seed & 0xFFFFFF) * 1000003 + index)
+                signals.append(channel.transmit(audio, corpus.audio_fs, rng))
         else:
+            # Table-top transmission is stateless given each row's RNG.
             signals = config.channel.transmit_batch(audios, corpus.audio_fs, rngs)
-    stats.transmits += n
-    stats.transmit_s += span.duration_s
 
     fs = config.channel.accel_fs
     if config.defense is not None:
-        # Per-row postprocess keeps the batched path byte-identical to
-        # the per-utterance reference (the defense sees exactly the same
-        # unpadded trace either way).
+        # Per row: the defense sees exactly one unpadded trace at a time.
         signals = [config.defense.postprocess(signal, fs) for signal in signals]
     detect_batch = getattr(detector, "detect_batch", None)
-    with trace("detect", n=n) as span:
+    with trace("detect", n=n, metric_labels={}):
         if detect_batch is not None:
             regions_list = detect_batch(signals, fs)
         else:
             regions_list = [detector.detect(signal, fs) for signal in signals]
-    stats.detect_s += span.duration_s
 
-    bests: List[Optional[Region]] = []
-    for signal, regions in zip(signals, regions_list):
-        stats.regions_detected += len(regions)
-        if not regions:
-            bests.append(None)
-            continue
-        best = max(
+    bests = [
+        max(
             regions,
-            key=lambda r: float(
-                np.sum((r.slice(signal) - np.mean(r.slice(signal))) ** 2)
-            ),
+            key=lambda r: float(np.sum((r.slice(signal) - np.mean(r.slice(signal))) ** 2)),
         )
-        stats.regions_used += 1
-        bests.append(best)
-
-    dtype = batch_dtype()
-    with trace("product", n=n) as span:
-        hit = [k for k in range(n) if bests[k] is not None]
-        feat_rows, feat_pos = [], []
-        for k in hit:
-            samples = bests[k].slice(signals[k])
-            if samples.size < 4:
-                continue
-            if config.feature_highpass_hz is not None and samples.size > 32:
-                sos = cached_butter_highpass(config.feature_highpass_hz, fs, order=4)
-                samples = sosfilt_zero_phase(sos, samples)
-            feat_rows.append(samples)
-            feat_pos.append(k)
-        features_by_row: Dict[int, np.ndarray] = {}
-        if feat_rows:
-            matrix = extract_features_batch(feat_rows, fs, dtype=dtype)
-            for row_index, k in enumerate(feat_pos):
-                features_by_row[k] = matrix[row_index]
-        img_pos = [k for k in hit if bests[k].end - bests[k].start >= 8]
-        images_by_row: Dict[int, np.ndarray] = {}
-        if img_pos:
-            images = region_spectrogram_images_batch(
-                [signals[k] for k in img_pos],
-                [bests[k] for k in img_pos],
-                size=config.size,
-                dtype=dtype,
-            )
-            for k, image in zip(img_pos, images):
-                images_by_row[k] = image
-    stats.product_s += span.duration_s
-
-    rows: List[Tuple[int, Optional[str], Optional[np.ndarray], Optional[np.ndarray]]] = [
-        (index, None, None, None) for index in indices
+        if regions
+        else None
+        for signal, regions in zip(signals, regions_list)
     ]
-    for k in hit:
-        rows[k] = (
-            indices[k],
-            specs[k].emotion,
-            features_by_row.get(k),
-            images_by_row.get(k),
-        )
-    return rows, stats
+    return signals, bests, sum(len(regions) for regions in regions_list)
 
 
-def _run_batch_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]):
-    """One chunk through the fast path, degrading to per-row isolation.
+def _products(
+    config: _PassConfig, signals: Sequence[np.ndarray], regions: Sequence[Region]
+) -> Tuple[List[Optional[np.ndarray]], List[Optional[np.ndarray]]]:
+    """Table II features and spectrogram image of each (trace, region) row.
 
-    If the stacked fast path raises — one poisoned utterance must not
-    take down its batchmates — the chunk re-runs row by row through the
-    per-utterance reference path; only the offending rows are dropped
-    (counted under ``batch.rows_isolated``), every healthy row keeps its
-    byte-identical product.
+    Computed in ``config.dtype``. A region too short for features
+    (< 4 samples) or for an image (< 8 samples) gets None in that list.
     """
-    try:
-        return _run_batch_chunk_fast(config, items)
-    except Exception:
-        metrics().count("batch.chunk_fallbacks")
-    stats = CollectionStats()
-    rows = []
-    for index, spec in items:
-        try:
-            row_index, label, features, image, item_stats = _run_work_item(
-                config, index, spec
-            )
-        except Exception:
-            metrics().count("batch.rows_isolated")
-            rows.append((index, None, None, None))
+    fs = config.channel.accel_fs
+    feat_rows, feat_pos = [], []
+    for k, (signal, region) in enumerate(zip(signals, regions)):
+        samples = region.slice(signal)
+        if samples.size < 4:
             continue
-        stats.add(item_stats)
-        rows.append((row_index, label, features, image))
-    return rows, stats
+        if config.feature_highpass_hz is not None and samples.size > 32:
+            sos = cached_butter_highpass(config.feature_highpass_hz, fs, order=4)
+            samples = sosfilt_zero_phase(sos, samples)
+        feat_rows.append(samples)
+        feat_pos.append(k)
+    features: List[Optional[np.ndarray]] = [None] * len(regions)
+    if feat_rows:
+        matrix = extract_features_batch(feat_rows, fs, dtype=config.dtype)
+        for k, row in zip(feat_pos, matrix):
+            features[k] = row
+    images: List[Optional[np.ndarray]] = [None] * len(regions)
+    img_pos = [k for k, region in enumerate(regions) if region.end - region.start >= 8]
+    if img_pos:
+        stack = region_spectrogram_images_batch(
+            [signals[k] for k in img_pos],
+            [regions[k] for k in img_pos],
+            size=config.size,
+            dtype=config.dtype,
+        )
+        for k, image in zip(img_pos, stack):
+            images[k] = image
+    return features, images
 
 
-def _collect_batched(
+def _run_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]) -> List[Tuple]:
+    """One chunk through both stages: ``(index, label|None, features, image)`` rows.
+
+    Counters are counted once the whole chunk has succeeded, so a failed
+    chunk leaves only its spans behind.
+    """
+    signals, bests, n_detected = _detect_chunk(config, items)
+    hit = [k for k, best in enumerate(bests) if best is not None]
+    with trace("product", n=len(items), metric_labels={}):
+        features, images = _products(
+            config, [signals[k] for k in hit], [bests[k] for k in hit]
+        )
+    registry = metrics()
+    registry.count("renders", len(items))
+    registry.count("transmits", len(items))
+    registry.count("regions_detected", n_detected)
+    registry.count("regions_used", len(hit))
+    rows: List[Tuple] = [(index, None, None, None) for index, _ in items]
+    for k, feature_row, image in zip(hit, features, images):
+        rows[k] = (items[k][0], items[k][1].emotion, feature_row, image)
+    return rows
+
+
+def _run_chunk_task(task: Tuple[_PassConfig, Sequence[Tuple[int, UtteranceSpec]]]):
+    """Task entry point: one chunk under captured observability.
+
+    Module-level, hence picklable for the process executor. If the
+    stacked chunk raises — one poisoned utterance must not take down its
+    batchmates — each of its rows re-runs as a chunk of one; only the
+    offending rows are dropped (counted under ``batch.rows_isolated``)
+    and every healthy row keeps its byte-identical product.
+
+    A process worker of the pass's own pool exits with the pass, so a
+    waveform it stored would never be read again: it reads the render
+    memo it inherited but stores nothing.
+    """
+    config, items = task
+    if os.getpid() != config.origin_pid:
+        datasets_base._RENDER_MEMO.budget_bytes = 0
+    with capture_observability() as capture:
+        try:
+            rows = _run_chunk(config, items)
+        except Exception:
+            metrics().count("batch.chunk_fallbacks")
+            rows = []
+            for item in items:
+                try:
+                    rows.extend(_run_chunk(config, [item]))
+                except Exception:
+                    metrics().count("batch.rows_isolated")
+                    rows.append((item[0], None, None, None))
+    return rows, capture
+
+
+def _collect_tabletop(
     config: _PassConfig,
     specs: List[UtteranceSpec],
     n_jobs: int,
     executor: str,
     batch_chunk: int,
-) -> Tuple[List, CollectionStats]:
-    """Fan stacked utterance chunks out over the chosen executor."""
-    stats = CollectionStats(n_jobs=max(1, int(n_jobs)), executor=executor)
+) -> List[Tuple]:
+    """Fan stacked chunks of utterances out over the chosen executor."""
     indexed = list(enumerate(specs))
-    chunk = max(1, int(batch_chunk))
-    chunks = [indexed[i : i + chunk] for i in range(0, len(indexed), chunk)]
-    ran_in_pool = executor == "process" and len(chunks) > 1 and n_jobs > 1
-    if ran_in_pool:
-        with ProcessPoolExecutor(
-            max_workers=max(1, int(n_jobs)),
-            initializer=_init_worker,
-            initargs=(config,),
-        ) as pool:
-            outs = list(pool.map(_process_batch_entry, chunks, chunksize=1))
-    else:
-        def run_chunk(chunk_items):
-            return _run_batch_chunk(config, chunk_items)
-
-        outs = run_tasks(
-            run_chunk,
-            chunks,
-            n_jobs=n_jobs,
-            executor="serial" if executor == "process" else executor,
-        )
+    tasks = [
+        (config, indexed[i : i + batch_chunk]) for i in range(0, len(indexed), batch_chunk)
+    ]
     products = []
-    for rows, chunk_stats in outs:
-        stats.add(chunk_stats)
-        for index, label, features, image in rows:
-            if label is not None:
-                products.append((index, label, features, image))
-    if ran_in_pool:
-        # Worker-process spans die with their workers; reconstruct the
-        # stage timings as aggregate spans (exactly once), as the
-        # per-utterance pool path does.
-        tr = tracer()
-        for field_name, span_name in _TIMER_FIELDS.items():
-            if span_name == "collect":
-                continue
-            tr.record(
-                span_name,
-                getattr(stats, field_name),
-                aggregated="worker-sum",
-                n_jobs=stats.n_jobs,
-            )
+    for rows, capture in run_tasks(_run_chunk_task, tasks, n_jobs=n_jobs, executor=executor):
+        merge_worker_trace(capture)
+        products.extend(row for row in rows if row[1] is not None)
+    return products
+
+
+def _collect_continuous(
+    config: _PassConfig,
+    specs: List[UtteranceSpec],
+    n_jobs: int,
+    executor: str,
+) -> List[Tuple]:
+    """One continuous recording session, labelled from the playback log.
+
+    The transmit chain is inherently serial (the hand-motion process is
+    continuous across the session), so parallelism is applied to the
+    utterance rendering only; the session numerics are identical to a
+    fully serial run.
+    """
+    from repro.phone.recording import record_session
+
+    # Pre-render in parallel; the session then looks waveforms up.
+    render_executor = "serial" if executor == "process" else executor
+    with trace("render", n=len(specs), metric_labels={}):
+        waves = run_tasks(
+            config.corpus.render, specs, n_jobs=n_jobs, executor=render_executor
+        )
+    rendered: Dict[UtteranceSpec, np.ndarray] = dict(zip(specs, waves))
+
+    with trace("transmit", continuous=True, metric_labels={}):
+        session = record_session(
+            config.corpus,
+            config.channel,
+            specs=specs,
+            seed=config.seed,
+            renderer=rendered.__getitem__,
+        )
+
+    session_trace = session.trace
+    if config.defense is not None:
+        # The whole recorded session passes through the OS boundary once;
+        # the defended channel's rate already satisfies any cap, so the
+        # stream rate is unchanged (see _PassConfig.defense).
+        session_trace = config.defense.postprocess(session_trace, session.fs)
+
+    with trace("detect", metric_labels={}):
+        regions = config.detector.detect(session_trace, session.fs)
+
+    matched = match_regions(regions, session.events)
+    with trace("product", metric_labels={}):
+        features, images = _products(
+            config, [session_trace] * len(matched), [region for region, _ in matched]
+        )
+    registry = metrics()
+    registry.count("renders", len(specs))
+    # record_session transmits a leading gap, then wave+gap per utterance.
+    registry.count("transmits", 1 + 2 * len(specs))
+    registry.count("regions_detected", len(regions))
+    registry.count("regions_used", len(matched))
+    # Product rows carry the matched playback *event* (not just its
+    # emotion string) so a cached pass can be re-labelled for any task —
+    # the event records speaker/utterance identity too.
+    return [
+        (-1, event, feature_row, image)
+        for (_, event), feature_row, image in zip(matched, features, images)
+    ]
+
+
+def _run_pass(
+    config: _PassConfig,
+    specs: List[UtteranceSpec],
+    continuous: bool,
+    n_jobs: int,
+    executor: str,
+    batch_chunk: int = DEFAULT_BATCH_CHUNK,
+    cache_miss: bool = False,
+    **labels,
+) -> Tuple[List[Tuple], CollectionStats]:
+    """One collection pass under a ``collect`` span: ``(products, stats)``.
+
+    The pass records into its own registry, which is merged under the
+    ``collect`` span even when the pass fails: spans and stage timers
+    survive exceptions, while counters are counted only by finished
+    chunks and passes, so a failed pass publishes none.
+    """
+    n_jobs = max(1, int(n_jobs))
+    with trace("collect", executor=executor, n_jobs=n_jobs, **labels) as pass_span:
+        try:
+            with capture_observability() as recorded:
+                if continuous:
+                    products = _collect_continuous(config, specs, n_jobs, executor)
+                else:
+                    products = _collect_tabletop(
+                        config, specs, n_jobs, executor, max(1, int(batch_chunk))
+                    )
+                registry = metrics()
+                registry.count("n_played", len(specs))
+                if cache_miss:
+                    registry.count("cache_misses")
+                registry.gauge("engine.n_jobs", n_jobs, executor=executor)
+        finally:
+            merge_worker_trace(recorded, parent=pass_span)
+        stats = CollectionStats.from_registry(recorded.registry)
+        stats.total_s = pass_span.elapsed()
     return products, stats
 
 
@@ -759,16 +592,17 @@ def collect_per_utterance_products(
     n_jobs: int = 1,
     executor: Optional[str] = None,
 ) -> Tuple[List[Tuple[int, str, Optional[np.ndarray], Optional[np.ndarray]]], CollectionStats]:
-    """Per-utterance work items with spec provenance.
+    """Table-top product rows with spec provenance.
 
     Returns ``(products, stats)`` where each product is
     ``(spec_index, label, features|None, image|None)`` — the building
     block for consumers that need row→utterance alignment (e.g. the
-    Spearphone speaker/gender baseline).
+    Spearphone speaker/gender baseline). Runs the batched stages under
+    the active batch policy, like every table-top pass.
     """
     detector = detector or _default_detector(channel)
     specs = list(specs if specs is not None else corpus.specs)
-    executor_name = _resolve_executor(n_jobs, executor)
+    executor_name = resolve_executor(n_jobs, executor)
     config = _PassConfig(
         corpus=corpus,
         channel=channel,
@@ -776,23 +610,19 @@ def collect_per_utterance_products(
         seed=int(seed),
         size=int(size),
         feature_highpass_hz=feature_highpass_hz,
+        dtype=batch_dtype(),
     )
-    with trace(
-        "collect",
+    return _run_pass(
+        config,
+        specs,
+        continuous=False,
+        n_jobs=n_jobs,
+        executor=executor_name,
         corpus=corpus.name,
         device=channel.device.name,
         placement=channel.placement.value,
-        executor=executor_name,
-        n_jobs=max(1, int(n_jobs)),
         api="products",
-    ) as span:
-        products, stats = _collect_per_utterance(
-            config, specs, n_jobs, executor_name
-        )
-        stats.n_played = len(specs)
-        stats.total_s = span.elapsed()
-        _publish(stats)
-    return products, stats
+    )
 
 
 def iter_region_samples(
@@ -807,7 +637,8 @@ def iter_region_samples(
 
     Serial generator over the engine's deterministic work items — the
     raw-material path for consumers that need region *samples* rather
-    than finished features/images (e.g. data augmentation).
+    than finished features/images (e.g. data augmentation). Table-top
+    items run through the render/transmit/detect stage in chunks.
     """
     detector = detector or _default_detector(channel)
     if continuous is None:
@@ -831,82 +662,13 @@ def iter_region_samples(
         size=32,
         feature_highpass_hz=None,
     )
-    for index, spec in enumerate(specs):
-        signal, best, _stats = _transmit_and_detect(config, index, spec)
-        if best is not None:
-            yield spec.emotion, best, signal
-
-
-# ---------------------------------------------------------------------------
-# Continuous-session protocol
-# ---------------------------------------------------------------------------
-
-
-def _collect_continuous(
-    config: _PassConfig,
-    specs: List[UtteranceSpec],
-    n_jobs: int,
-    executor: str,
-) -> Tuple[List, CollectionStats]:
-    """One continuous recording session, labelled from the playback log.
-
-    The transmit chain is inherently serial (the hand-motion process is
-    continuous across the session), so parallelism is applied to the
-    utterance rendering only; the session numerics are identical to a
-    fully serial run.
-    """
-    from repro.phone.recording import record_session
-
-    stats = CollectionStats(n_jobs=max(1, int(n_jobs)), executor=executor)
-
-    # Pre-render in parallel; the session then looks waveforms up.
-    render_executor = "serial" if executor == "process" else executor
-    with trace("render", n=len(specs), metric_labels={}) as span:
-        waves = run_tasks(
-            config.corpus.render, specs, n_jobs=n_jobs, executor=render_executor
-        )
-    rendered: Dict[UtteranceSpec, np.ndarray] = dict(zip(specs, waves))
-    stats.renders += len(specs)
-    stats.render_s += span.duration_s
-
-    with trace("transmit", continuous=True, metric_labels={}) as span:
-        session = record_session(
-            config.corpus,
-            config.channel,
-            specs=specs,
-            seed=config.seed,
-            renderer=rendered.__getitem__,
-        )
-    # record_session transmits a leading gap, then wave+gap per utterance.
-    stats.transmits += 1 + 2 * len(specs)
-    stats.transmit_s += span.duration_s
-
-    session_trace = session.trace
-    if config.defense is not None:
-        # The whole recorded session passes through the OS boundary once;
-        # the defended channel's rate already satisfies any cap, so the
-        # stream rate is unchanged (see _PassConfig.defense).
-        session_trace = config.defense.postprocess(session_trace, session.fs)
-
-    with trace("detect", metric_labels={}) as span:
-        regions = config.detector.detect(session_trace, session.fs)
-    stats.detect_s += span.duration_s
-    stats.regions_detected += len(regions)
-
-    with trace("product", metric_labels={}) as span:
-        products = []
-        # Product rows carry the matched playback *event* (not just its
-        # emotion string) so a cached pass can be re-labelled for any
-        # task — the event records speaker/utterance identity too.
-        for region, event in match_regions(regions, session.events):
-            stats.regions_used += 1
-            features = _feature_row(
-                session_trace, region, session.fs, config.feature_highpass_hz
-            )
-            image = _image_product(session_trace, region, config.size)
-            products.append((-1, event, features, image))
-    stats.product_s += span.duration_s
-    return products, stats
+    indexed = list(enumerate(specs))
+    for start in range(0, len(indexed), DEFAULT_BATCH_CHUNK):
+        items = indexed[start : start + DEFAULT_BATCH_CHUNK]
+        signals, bests, _ = _detect_chunk(config, items)
+        for (_, spec), signal, best in zip(items, signals, bests):
+            if best is not None:
+                yield spec.emotion, best, signal
 
 
 # ---------------------------------------------------------------------------
@@ -935,9 +697,8 @@ def collection_key(
     feature-path filter, batch-policy compute dtype). Executor choice,
     worker count, pipeline and chunk size are deliberately excluded:
     they do not change the result. ``batch_dtype=None`` normalises to
-    ``"float64"`` — the golden batched pipeline is byte-identical to the
-    per-utterance reference, so the two share cache entries; a float32
-    hot-path pass keys separately.
+    ``"float64"``, the golden policy; a float32 hot-path pass keys
+    separately.
 
     The label ``task`` only affects which labels are attached, never the
     physics, so the default emotion task keys exactly as before this
@@ -1142,7 +903,7 @@ def _task_labelled_rows(
 ) -> List[Tuple[str, Optional[np.ndarray], Optional[np.ndarray]]]:
     """Attach the task's label to each product row.
 
-    Per-utterance/batched rows carry ``index >= 0`` into ``specs`` and
+    Table-top rows carry ``index >= 0`` into ``specs`` and
     an emotion-string payload; continuous rows carry ``index == -1`` and
     the matched :class:`~repro.phone.recording.PlaybackEvent` as
     payload. Either record type exposes ``speaker_id``/``emotion``, so
@@ -1214,9 +975,9 @@ def collect_datasets(
     Parameters
     ----------
     n_jobs:
-        Worker count for the per-utterance protocol (and the rendering
-        stage of the continuous protocol). Results are identical at any
-        value.
+        Worker count over which the table-top protocol's chunks (and the
+        rendering stage of the continuous protocol) fan out. Results are
+        identical at any value.
     executor:
         ``"serial"``, ``"thread"`` or ``"process"``; None picks serial
         for ``n_jobs <= 1`` and threads otherwise.
@@ -1224,15 +985,16 @@ def collect_datasets(
         Optional :class:`CollectionCache`; a hit skips the pass entirely
         and returns the registered result object.
     pipeline:
-        ``"batched"`` (default) stacks utterances into chunks and runs
-        every stage across the batch axis; ``"per_utterance"`` is the
-        one-at-a-time reference path. Under the golden float64 batch
-        policy the two are byte-identical; the continuous (handheld
-        session) protocol ignores this knob.
+        ``"batched"`` (default) stacks utterances into chunks of
+        ``batch_chunk`` and runs every stage across the batch axis;
+        ``"per_utterance"`` plays one utterance at a time, i.e.
+        ``batch_chunk=1``. Both honour the batch policy and give
+        identical results; the continuous (handheld session) protocol
+        ignores this knob.
     batch_chunk:
-        Utterances per stacked chunk for the batched pipeline
-        (default :data:`DEFAULT_BATCH_CHUNK`). Results are identical at
-        any chunk size.
+        Utterances per stacked chunk (default
+        :data:`DEFAULT_BATCH_CHUNK`). Results are identical at any chunk
+        size.
     task:
         Which label to attach to each collected region — one of
         :data:`repro.datasets.base.TASKS` (``emotion``, ``speaker-id``,
@@ -1255,16 +1017,15 @@ def collect_datasets(
     if continuous is None:
         continuous = channel.placement is Placement.HANDHELD
     specs = list(specs if specs is not None else corpus.specs)
-    executor_name = _resolve_executor(n_jobs, executor)
+    executor_name = resolve_executor(n_jobs, executor)
     pipeline_name = _resolve_pipeline(pipeline)
     task_name = resolve_task(task)
+    if pipeline_name == "per_utterance":
+        batch_chunk = 1
 
-    # Only the batched per-utterance pipeline honours the batch policy;
-    # every other path computes in float64.
-    active_dtype = (
-        batch_dtype() if (pipeline_name == "batched" and not continuous)
-        else np.dtype(np.float64)
-    )
+    # Every table-top pass honours the batch policy; the continuous
+    # session computes in float64.
+    active_dtype = np.dtype(np.float64) if continuous else batch_dtype()
 
     key = base_key = None
     if cache is not None:
@@ -1281,7 +1042,7 @@ def collect_datasets(
         hit = cache.lookup(key)
         if hit is not None:
             cache.hits += 1
-            _publish(CollectionStats(cache_hits=1))
+            metrics().count("cache_hits")
             if hit.stats is not None:
                 hit.stats.cache_hits += 1
             return hit
@@ -1292,7 +1053,7 @@ def collect_datasets(
             products, n_played = cached_products
             cache.hits += 1
             metrics().count("cache.relabel_hits")
-            _publish(CollectionStats(cache_hits=1))
+            metrics().count("cache_hits")
             stats = CollectionStats(n_played=n_played, cache_hits=1)
             result = _assemble_result(
                 _task_labelled_rows(products, specs, corpus, task_name),
@@ -1313,36 +1074,21 @@ def collect_datasets(
         size=int(size),
         feature_highpass_hz=feature_highpass_hz,
         defense=defense,
+        dtype=active_dtype,
     )
-    with trace(
-        "collect",
+    products, stats = _run_pass(
+        config,
+        specs,
+        continuous,
+        n_jobs,
+        executor_name,
+        batch_chunk if batch_chunk is not None else DEFAULT_BATCH_CHUNK,
+        cache_miss=cache is not None,
         corpus=corpus.name,
         device=channel.device.name,
         placement=channel.placement.value,
-        executor=executor_name,
-        n_jobs=max(1, int(n_jobs)),
         pipeline="continuous" if continuous else pipeline_name,
-    ) as pass_span:
-        if continuous:
-            products, stats = _collect_continuous(
-                config, specs, n_jobs, executor_name
-            )
-        elif pipeline_name == "batched":
-            products, stats = _collect_batched(
-                config,
-                specs,
-                n_jobs,
-                executor_name,
-                batch_chunk if batch_chunk is not None else DEFAULT_BATCH_CHUNK,
-            )
-        else:
-            products, stats = _collect_per_utterance(
-                config, specs, n_jobs, executor_name
-            )
-        stats.n_played = len(specs)
-        stats.cache_misses = 1 if cache is not None else 0
-        stats.total_s = pass_span.elapsed()
-        _publish(stats)
+    )
 
     result = _assemble_result(
         _task_labelled_rows(products, specs, corpus, task_name),

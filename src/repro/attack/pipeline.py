@@ -15,7 +15,8 @@ Both produce a :class:`FeatureDataset` (Table II features) and/or a
 :class:`SpectrogramDataset` (32x32 images) ready for the classifiers.
 
 The heavy lifting lives in :mod:`repro.attack.engine`: deterministic
-per-utterance work items, serial/thread/process executors (``n_jobs``),
+per-utterance work items run as batched chunks, serial/thread/process
+executors (``n_jobs``),
 a single shared render→transmit→detect pass for both dataset kinds, and
 the collection cache. This module keeps the stable user-facing API.
 """
@@ -142,10 +143,9 @@ class EmoLeakAttack:
     ``n_jobs``/``executor`` fan the collection out over the engine's
     worker pool; ``cache`` registers every pass in a
     :class:`~repro.attack.engine.CollectionCache` so repeated collections
-    of the same scenario are free. ``pipeline``/``batch_chunk`` select
-    between the batched data plane (the default) and the per-utterance
-    reference path — byte-identical under the golden float64 batch
-    policy.
+    of the same scenario are free. ``pipeline``/``batch_chunk`` set the
+    chunk size of the batched data plane (``per_utterance`` is chunks of
+    one); results are identical at any chunk size.
     """
 
     def __init__(

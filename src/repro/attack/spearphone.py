@@ -41,7 +41,6 @@ def collect_speaker_dataset(
     channel: VibrationChannel,
     specs: Optional[Sequence[UtteranceSpec]] = None,
     detector: Optional[RegionDetector] = None,
-    continuous: Optional[bool] = None,
     seed: int = 0,
     n_jobs: int = 1,
     executor: Optional[str] = None,
@@ -50,15 +49,15 @@ def collect_speaker_dataset(
 
     Returns ``(dataset, speaker_ids, genders)`` where ``dataset.y`` holds
     the emotion labels (as usual) and the two extra arrays align with its
-    rows. Requires per-utterance collection so rows map to utterances;
-    continuous sessions label regions by playback emotion group only.
+    rows. Every utterance is its own work item (never a continuous
+    session), so every row maps back to its spec.
     """
     rows: List[np.ndarray] = []
     emotions: List[str] = []
     speaker_ids: List[str] = []
     specs = list(specs if specs is not None else corpus.specs)
-    # The engine's per-utterance work items carry spec provenance, so
-    # every feature row maps back to its speaker.
+    # The engine's product rows carry spec provenance, so every
+    # feature row maps back to its speaker.
     products, _ = collect_per_utterance_products(
         corpus,
         channel,

@@ -9,8 +9,8 @@ The collection pipeline's batched stages (see
 stacked utterances under the contract defined here: zero-padded
 :class:`UtteranceBatch` containers whose valid prefixes are bitwise
 authoritative, and a process-wide :class:`BatchPolicy` whose ``float64``
-default keeps every batched stage byte-identical to the per-utterance
-reference path.
+default keeps every batched stage byte-identical to the one-utterance
+scalar reference.
 """
 
 from repro.batch.container import UtteranceBatch

@@ -1,11 +1,13 @@
 """Process-wide precision policy for the batched data plane.
 
-Mirrors :mod:`repro.nn.policy`: one knob, ``compute_dtype``, read by the
-batched collection pipeline at run time.
+Mirrors :mod:`repro.nn.policy`: one knob, ``compute_dtype``, read once
+per table-top collection pass (any chunk size, ``per_utterance``
+included) and shipped to its workers; the continuous handheld session
+always computes in float64.
 
 - ``float64`` (the default) is the *golden* configuration: every batched
-  stage is byte-identical to the per-utterance reference pipeline, so
-  the committed golden fixtures pin both paths at once.
+  stage is byte-identical to the one-utterance-at-a-time reference
+  (kept as a test oracle), so the committed golden fixtures pin both.
 - ``float32`` is the hot path: the product stage (Table II feature
   extraction and spectrogram images) runs in single precision and the
   collected arrays are stored as ``float32``. Outputs are only
@@ -68,7 +70,7 @@ class BatchPolicy:
         return self.compute_dtype == np.dtype(np.float64)
 
 
-#: Default: double precision — byte-identical to the per-utterance path.
+#: Default: double precision — byte-identical to the one-utterance reference.
 DEFAULT_BATCH_POLICY = BatchPolicy()
 
 _current = DEFAULT_BATCH_POLICY

@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("batched", "per-utterance"),
         default=None,
         help="collection data plane: batched (stacked utterance chunks, "
-             "default) or per-utterance (the reference path); results "
-             "are byte-identical under the default float64 batch policy",
+             "default) or per-utterance (chunks of one utterance); "
+             "results are identical either way",
     )
     parser.add_argument(
         "--cache-dir",

@@ -13,6 +13,7 @@ once and every cell reuses, instead of paying pool start-up per cell.
 from __future__ import annotations
 
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -99,13 +100,19 @@ class ExecutorPool:
         Serial (or single-item) inputs run inline on the calling thread;
         otherwise work goes through the persistent pool. For the
         ``process`` executor ``fn`` and every item must be picklable.
+        A worker process that dies breaks the whole pool: the map raises
+        :class:`BrokenProcessPool` and the next map starts a fresh pool.
         """
         items = list(items)
         self.map_calls += 1
         self.tasks_run += len(items)
         if not self.is_parallel or len(items) <= 1:
             return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
+        try:
+            return list(self._ensure_pool().map(fn, items))
+        except BrokenProcessPool:
+            self.close()
+            raise
 
 
 def run_tasks(

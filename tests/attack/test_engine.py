@@ -11,7 +11,6 @@ from repro.attack.engine import (
     global_stats,
     iter_region_samples,
     reset_global_stats,
-    run_tasks,
 )
 from repro.attack.pipeline import (
     collect_feature_dataset,
@@ -20,6 +19,7 @@ from repro.attack.pipeline import (
 from repro.attack.regions import RegionDetector
 from repro.eval.io import load_collection, save_collection
 from repro.eval.suite import run_table
+from repro.parallel import run_tasks
 
 
 def _subset(corpus, n):
@@ -155,11 +155,11 @@ class TestCache:
 
 
 class TestStats:
-    def test_add_and_summary(self):
-        a = CollectionStats(transmits=3, renders=3, total_s=1.0)
-        b = CollectionStats(transmits=2, renders=2, cache_hits=1)
-        a.add(b)
-        assert a.transmits == 5 and a.cache_hits == 1
+    def test_summary(self):
+        stats = CollectionStats(transmits=5, renders=5, cache_hits=1, total_s=1.0)
+        line = stats.summary()
+        assert "transmits=5 renders=5" in line and "cache=1h/0m" in line
+        assert "wall 1.00s, serial x1" in line
 
     def test_one_pass_per_scenario(self):
         """run_table re-collects once per scenario, not once per classifier."""

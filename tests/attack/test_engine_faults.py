@@ -1,138 +1,186 @@
 """Fault injection: stage timing must survive mid-pass exceptions.
 
 PR 1's inline ``perf_counter()`` arithmetic lost every stage timing of a
-pass that died mid-stage: the per-item stats object went down with the
-exception and ``_publish`` never ran. Spans record on their exception
-path directly into the metrics registry, so a failing pass still
-accounts for the time it burned — these tests patch the detector (and
-the corpus renderer) to raise and assert the books still balance.
+pass that died mid-stage. Spans record on their exception path, so the
+time a failure burned is still accounted. A detector that raises on
+one utterance fails its chunk, the chunk's rows re-run as chunks of one
+and only that utterance is dropped: these tests assert the books still
+balance. A process worker that dies fails the whole pass, and then
+nothing of it may be cached or counted.
 """
+
+import os
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from repro.attack.engine import collect_datasets, global_stats
+from repro.attack.engine import (
+    CollectionCache,
+    _default_detector,
+    collect_datasets,
+    collection_key,
+    global_stats,
+)
 from repro.attack.regions import RegionDetector
+from repro.datasets.base import Corpus
 from repro.obs import metrics, reset_observability, tracer
 
 
 class ExplodingDetector:
-    """Detector that raises after a configurable number of calls."""
+    """Table-top detector that raises on traces of one length.
 
-    def __init__(self, fail_at: int = 0):
-        self.calls = 0
-        self.fail_at = fail_at
+    With ``bomb_size=None`` it raises on nothing and records the length
+    of every trace it sees, so a probe pass can pick one utterance's.
+    """
+
+    def __init__(self, bomb_size=None):
+        self.bomb_size = bomb_size
+        self.sizes = []
 
     def detect(self, signal, fs):
-        self.calls += 1
-        if self.calls > self.fail_at:
+        self.sizes.append(signal.size)
+        if signal.size == self.bomb_size:
             raise RuntimeError("sensor fell off the table")
         return RegionDetector.for_setting("table_top").detect(signal, fs)
 
 
+SPECS, BOMB_ROW = 5, 2
+
+
+def _bombed_pass(tiny_tess, loud_channel):
+    """``(bombed, clean)`` passes over five utterances; row 2's detect raises."""
+    specs = tiny_tess.specs[:SPECS]
+    probe = ExplodingDetector()
+    clean = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=1, detector=probe)
+    assert probe.sizes.count(probe.sizes[BOMB_ROW]) == 1  # one utterance has that length
+    assert clean.features.X.shape[0] == SPECS
+    reset_observability()
+    bombed = collect_datasets(
+        tiny_tess, loud_channel, specs=specs, seed=1,
+        detector=ExplodingDetector(probe.sizes[BOMB_ROW]),
+    )
+    return bombed, clean
+
+
 class TestExceptionAccounting:
     def test_stage_time_recorded_when_detector_raises(self, tiny_tess, loud_channel):
-        reset_observability()
-        with pytest.raises(RuntimeError, match="sensor fell off"):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
+        _bombed_pass(tiny_tess, loud_channel)
         reg = metrics()
-        # The render and transmit that *completed* before the failure are
-        # accounted, even though the pass never published its stats.
-        assert reg.timer_total("render").count == 1
-        assert reg.timer_total("render").total_s > 0
-        assert reg.timer_total("transmit").count == 1
-        # The failing detect stage recorded its own elapsed time, tagged.
-        assert reg.timer("detect", status="error").count == 1
+        # The five-row chunk ran render and transmit, then its detect
+        # raised; each row then re-ran as a chunk of one.
+        assert reg.timer("render", status="ok").count == 1 + SPECS
+        assert reg.timer("transmit", status="ok").count == 1 + SPECS
+        assert reg.timer("detect", status="error").count == 2
+        assert reg.timer("detect", status="ok").count == SPECS - 1
+        assert reg.timer("product", status="ok").count == SPECS - 1
         stats = global_stats()
         assert stats.render_s > 0
-        assert stats.detect_s >= 0
+        assert stats.detect_s > 0
 
     def test_spans_carry_error_status(self, tiny_tess, loud_channel):
-        reset_observability()
-        with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
-        (detect,) = tracer().find("detect")
-        assert detect.status == "error"
-        assert "RuntimeError" in detect.error
+        _bombed_pass(tiny_tess, loud_channel)
+        failed = [span for span in tracer().find("detect") if span.status == "error"]
+        assert [span.labels["n"] for span in failed] == [SPECS, 1]
+        assert all("RuntimeError: sensor fell off" in span.error for span in failed)
         (collect,) = tracer().find("collect")
-        assert collect.status == "error"  # the failure propagates up the tree
-        # The completed stages under the pass stayed "ok".
-        (render,) = tracer().find("render")
-        assert render.status == "ok"
+        assert collect.status == "ok"  # the failure stayed inside its chunk
 
     def test_partial_pass_accounts_every_completed_item(
         self, tiny_tess, loud_channel
     ):
-        """Failing on item 3 keeps items 1-2 fully accounted."""
-        reset_observability()
-        with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:5],
-                detector=ExplodingDetector(fail_at=2),
-                seed=1,
-                pipeline="per_utterance",
-            )
-        reg = metrics()
-        assert reg.timer_total("render").count == 3
-        assert reg.timer_total("detect").count == 3
-        assert reg.timer("detect", status="ok").count == 2
-        assert reg.timer("detect", status="error").count == 1
+        """Every stage that completed closed "ok" under the pass span."""
+        _bombed_pass(tiny_tess, loud_channel)
+        (collect,) = tracer().find("collect")
+        stages = [span for span in collect.walk() if span is not collect]
+        for name in ("render", "transmit", "product"):
+            spans = [span for span in stages if span.name == name]
+            assert spans and all(span.status == "ok" for span in spans)
+        assert len(stages) == len(list(tracer().spans())) - 1
 
     def test_counters_unpublished_on_failure(self, tiny_tess, loud_channel):
-        """_publish never runs for a failed pass: counters stay zero while
-        timers (spans) are still accounted — the exact asymmetry the
-        global view is documented to have."""
-        reset_observability()
-        with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
+        """The failing row's counters are never published, its timers are."""
+        bombed, _ = _bombed_pass(tiny_tess, loud_channel)
+        reg = metrics()
+        assert reg.counter_total("batch.chunk_fallbacks") == 1
+        assert reg.counter_total("batch.rows_isolated") == 1
         stats = global_stats()
-        assert stats.transmits == 0  # counter path needs a finished pass
-        assert stats.transmit_s > 0  # timer path survived the exception
+        assert stats.transmits == stats.renders == SPECS - 1
+        assert stats.n_played == SPECS
+        assert bombed.stats.transmits == SPECS - 1
+        assert stats.transmit_s == pytest.approx(reg.timer_total("transmit").total_s)
 
     def test_healthy_run_unaffected_by_prior_failure(self, tiny_tess, loud_channel):
-        reset_observability()
-        with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
-        result = collect_datasets(
-            tiny_tess,
-            loud_channel,
-            specs=tiny_tess.specs[:5],
-            seed=1,
-            pipeline="per_utterance",
+        bombed, clean = _bombed_pass(tiny_tess, loud_channel)
+        keep = [row for row in range(SPECS) if row != BOMB_ROW]
+        assert bombed.features.X.tobytes() == clean.features.X[keep].tobytes()
+        assert bombed.spectrograms.images.tobytes() == (
+            clean.spectrograms.images[keep].tobytes()
         )
-        assert result.features.X.shape[1] == 24
-        assert np.all(np.isfinite(result.features.X))
-        assert global_stats().transmits == 5
+        assert list(bombed.features.y) == list(clean.features.y[keep])
+        again = collect_datasets(
+            tiny_tess, loud_channel, specs=tiny_tess.specs[:SPECS], seed=1
+        )
+        assert again.features.X.tobytes() == clean.features.X.tobytes()
+        assert global_stats().transmits == (SPECS - 1) + SPECS
+
+
+@dataclass(frozen=True)
+class DyingCorpus(Corpus):
+    """A corpus whose process-pool workers die rendering one utterance."""
+
+    fatal_id: str = ""
+    parent_pid: int = 0
+
+    def render_batch(self, specs):
+        if os.getpid() != self.parent_pid and any(
+            spec.utterance_id == self.fatal_id for spec in specs
+        ):
+            os._exit(3)
+        return super().render_batch(specs)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_fails_the_pass_and_leaves_nothing(
+        self, tiny_tess, loud_channel, tmp_path
+    ):
+        specs = tiny_tess.specs[:8]
+        clean = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=5)
+        dying = DyingCorpus(
+            **{f.name: getattr(tiny_tess, f.name) for f in fields(Corpus)},
+            fatal_id=specs[6].utterance_id,
+            parent_pid=os.getpid(),
+        )
+        cache = CollectionCache(cache_dir=tmp_path)
+        pool_pass = dict(
+            specs=specs, seed=5, cache=cache, executor="process", n_jobs=2, batch_chunk=3
+        )
+        reset_observability()
+        with pytest.raises(BrokenProcessPool):
+            collect_datasets(dying, loud_channel, **pool_pass)
+
+        key = collection_key(
+            tiny_tess, loud_channel, specs, _default_detector(loud_channel), False, 5
+        )
+        assert key == collection_key(
+            dying, loud_channel, specs, _default_detector(loud_channel), False, 5
+        )
+        assert key not in cache and len(cache) == 0
+        assert cache.lookup_products(key) is None
+        assert list(tmp_path.iterdir()) == []
+        stats = global_stats()
+        for name in ("renders", "transmits", "regions_detected", "regions_used",
+                     "n_played", "cache_hits", "cache_misses"):
+            assert getattr(stats, name) == 0, name
+        (collect,) = tracer().find("collect")
+        assert collect.status == "error"
+
+        again = collect_datasets(tiny_tess, loud_channel, **pool_pass)
+        assert cache.misses == 2 and key in cache
+        assert again.features.X.tobytes() == clean.features.X.tobytes()
+        assert again.spectrograms.images.tobytes() == clean.spectrograms.images.tobytes()
+        assert list(again.features.y) == list(clean.features.y)
 
 
 class TestCrashSafeDiskCache:

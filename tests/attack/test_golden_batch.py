@@ -6,8 +6,8 @@ feature matrix and image stack collected through the batched pipeline
 for the fixed ``(seed 0, oneplus7t, tiny TESS)`` triple. The batched
 pipeline under the golden float64 policy must reproduce the fixture
 byte-for-byte across executors and chunk sizes — and must equal the
-per-utterance reference exactly, so this fixture pins both paths at
-once.
+frozen per-utterance reference (``_collect_reference.py``) exactly, so
+this fixture pins both at once.
 
 Regenerate the fixture (after an *intentional* numerics change) with::
 
@@ -23,6 +23,7 @@ from repro.attack.engine import collect_datasets
 from repro.attack.features import FEATURE_NAMES
 from repro.datasets import build_tess
 from repro.phone import VibrationChannel
+from tests.attack._collect_reference import collect_reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_tess_oneplus7t_seed0_batch.npz"
 
@@ -75,7 +76,7 @@ class TestGoldenBatchFixture:
 
     def test_per_utterance_reference_matches_fixture(self):
         """The fixture pins the reference path too (golden = identical)."""
-        ref = _collect("per_utterance")
+        ref = collect_reference(build_tess(**CORPUS_ARGS), _channel(), seed=SEED)
         with np.load(FIXTURE, allow_pickle=False) as bundle:
             assert ref.features.X.tobytes() == bundle["X"].tobytes()
             assert ref.spectrograms.images.tobytes() == bundle["images"].tobytes()

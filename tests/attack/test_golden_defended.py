@@ -5,7 +5,8 @@ defense path: the committed fixture pins the feature matrix and image
 stack collected through the composed ``50 Hz cap + 20 Hz low-pass``
 stack for the fixed ``(seed 0, oneplus7t, tiny TESS)`` triple. The
 defended pipeline must reproduce the fixture byte-for-byte across
-executors and across the batched / per-utterance data planes — the same
+executors, chunk sizes and against the frozen per-utterance reference
+(``_collect_reference.py``) — the same
 contract the undefended golden suite enforces, now with the defense's
 channel transform and stream postprocess in the loop.
 
@@ -24,6 +25,7 @@ from repro.attack.features import FEATURE_NAMES
 from repro.attack.privacy_gate import DefenseConfig
 from repro.datasets import build_tess
 from repro.phone import VibrationChannel
+from tests.attack._collect_reference import collect_reference
 
 FIXTURE = (
     Path(__file__).parent
@@ -93,7 +95,10 @@ class TestGoldenDefendedFixture:
             )
 
     def test_per_utterance_reference_matches_fixture(self):
-        ref = _collect("per_utterance")
+        ref = collect_reference(
+            build_tess(**CORPUS_ARGS), _channel(), seed=SEED,
+            defense=DEFENSE_CONFIG.build(),
+        )
         with np.load(FIXTURE, allow_pickle=False) as bundle:
             assert ref.features.X.tobytes() == bundle["X"].tobytes()
             assert ref.spectrograms.images.tobytes() == bundle["images"].tobytes()

@@ -3,9 +3,9 @@
 A float32 hot-path pass and a float64 golden pass produce different
 arrays; if they shared a cache key, whichever ran first would poison the
 other. ``collection_key`` folds the active compute dtype into the
-digest, with ``None`` normalising to ``"float64"`` so the golden batched
-pipeline still shares entries with the per-utterance reference (they are
-byte-identical).
+digest, with ``None`` normalising to ``"float64"``. The policy applies to
+every table-top pass, the ``per_utterance`` alias (chunks of one)
+included.
 """
 
 import numpy as np
@@ -108,15 +108,17 @@ class TestCrossPolicyCache:
             rtol=5e-3, atol=5e-3,
         )
 
-    def test_per_utterance_pipeline_ignores_policy(self, tiny_tess, loud_channel):
+    def test_per_utterance_pipeline_is_chunks_of_one(self, tiny_tess, loud_channel):
         specs = tiny_tess.specs[:4]
-        ref = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4,
-            pipeline="per_utterance",
-        )
         with batch_policy_scope(compute_dtype="float32"):
+            ref = collect_datasets(
+                tiny_tess, loud_channel, specs=specs, seed=4, batch_chunk=1
+            )
             got = collect_datasets(
                 tiny_tess, loud_channel, specs=specs, seed=4,
                 pipeline="per_utterance",
             )
+        assert got.features.X.dtype == np.float32
         assert got.features.X.tobytes() == ref.features.X.tobytes()
+        assert got.spectrograms.images.tobytes() == ref.spectrograms.images.tobytes()
+        assert list(got.features.y) == list(ref.features.y)

@@ -1,9 +1,11 @@
 """End-to-end parity: the batched pipeline vs the per-utterance reference.
 
 Under the golden float64 batch policy, ``collect_datasets`` must return
-byte-identical datasets from either pipeline, at any chunk size and
-under any executor. This is the tentpole contract: the batched data
-plane is a pure reorganisation of the work, not a numerical variant.
+datasets byte-identical to the frozen one-utterance-at-a-time reference
+(``tests/attack/_collect_reference.py``), at any chunk size, under any
+executor and through the ``per_utterance`` alias for chunks of one: the
+batched data plane is a pure reorganisation of the work, not a
+numerical variant.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.attack.engine import (
     collect_datasets,
 )
 from repro.attack.pipeline import EmoLeakAttack
+from tests.attack._collect_reference import collect_reference
 
 
 def _bytes(result):
@@ -32,10 +35,7 @@ def reference(request):
     tiny_tess = request.getfixturevalue("tiny_tess")
     loud_channel = request.getfixturevalue("loud_channel")
     specs = tiny_tess.specs[:12]
-    result = collect_datasets(
-        tiny_tess, loud_channel, specs=specs, seed=4, pipeline="per_utterance"
-    )
-    return specs, result
+    return specs, collect_reference(tiny_tess, loud_channel, specs=specs, seed=4)
 
 
 class TestPipelineDispatch:
@@ -90,9 +90,21 @@ class TestBatchedParity:
             specs=specs,
             seed=4,
             pipeline="batched",
-            batch_chunk=4,  # several chunks so the pool actually fans out
+            # Several chunks so the pool fans out, the last one short.
+            batch_chunk=5,
             executor=executor,
             n_jobs=n_jobs,
+        )
+        assert _bytes(got) == _bytes(ref)
+
+    @pytest.mark.parametrize("executor,n_jobs", [("thread", 3), ("process", 2)])
+    def test_chunks_of_one_under_any_executor(
+        self, tiny_tess, loud_channel, reference, executor, n_jobs
+    ):
+        specs, ref = reference
+        got = collect_datasets(
+            tiny_tess, loud_channel, specs=specs, seed=4,
+            pipeline="per_utterance", executor=executor, n_jobs=n_jobs,
         )
         assert _bytes(got) == _bytes(ref)
 
@@ -105,6 +117,9 @@ class TestBatchedParity:
 
     def test_counters_match_reference(self, tiny_tess, loud_channel, reference):
         specs, ref = reference
+        one_at_a_time = collect_datasets(
+            tiny_tess, loud_channel, specs=specs, seed=4, pipeline="per_utterance"
+        )
         got = collect_datasets(
             tiny_tess,
             loud_channel,
@@ -115,16 +130,15 @@ class TestBatchedParity:
         )
         for field in ("renders", "transmits", "regions_detected", "regions_used",
                       "n_played"):
-            assert getattr(got.stats, field) == getattr(ref.stats, field)
+            assert getattr(got.stats, field) == getattr(one_at_a_time.stats, field)
+        assert got.stats.renders == got.stats.transmits == ref.features.n_played
+        assert got.stats.regions_used == ref.spectrograms.images.shape[0]
 
     def test_handheld_per_utterance_protocol(self, tiny_tess, ear_channel):
         # Handheld + continuous=False exercises the per-item channel
         # clones inside the batched transmit stage.
         specs = tiny_tess.specs[:6]
-        ref = collect_datasets(
-            tiny_tess, ear_channel, specs=specs, seed=2,
-            continuous=False, pipeline="per_utterance",
-        )
+        ref = collect_reference(tiny_tess, ear_channel, specs=specs, seed=2)
         got = collect_datasets(
             tiny_tess, ear_channel, specs=specs, seed=2,
             continuous=False, pipeline="batched", batch_chunk=2,

@@ -17,6 +17,7 @@ from repro.attack.engine import (
     reset_global_stats,
 )
 from repro.attack.regions import RegionDetector
+from repro.batch import batch_policy_scope
 from repro.obs import metrics, reset_observability, tracer
 
 
@@ -80,6 +81,28 @@ class TestRowIsolation:
         reg = metrics()
         assert reg.counter_total("batch.chunk_fallbacks") == 1
         assert reg.counter_total("batch.rows_isolated") == 1
+
+    def test_degraded_chunk_keeps_the_float32_policy(self, tiny_tess, loud_channel):
+        """Isolated rows re-run through the same float32 stages as the chunk."""
+        specs = tiny_tess.specs[:8]
+        bad_corpus = PoisonedCorpus(tiny_tess, [specs[3].utterance_id])
+        keep = [i for i in range(len(specs)) if i != 3]
+        with batch_policy_scope(compute_dtype="float32"):
+            clean = collect_datasets(
+                tiny_tess, loud_channel, specs=specs, seed=4, batch_chunk=8
+            )
+            reset_observability()
+            dirty = collect_datasets(
+                bad_corpus, loud_channel, specs=specs, seed=4, batch_chunk=8
+            )
+        assert metrics().counter_total("batch.rows_isolated") == 1
+        assert clean.features.X.shape[0] == len(specs)
+        assert dirty.features.X.dtype == np.float32
+        assert dirty.spectrograms.images.dtype == np.float32
+        assert dirty.features.X.tobytes() == clean.features.X[keep].tobytes()
+        assert dirty.spectrograms.images.tobytes() == (
+            clean.spectrograms.images[keep].tobytes()
+        )
 
     def test_only_poisoned_chunk_degrades(self, tiny_tess, loud_channel):
         specs = tiny_tess.specs[:8]

@@ -7,6 +7,7 @@ empty memo (the ``render_memo`` fixture of ``tests/conftest.py``), so
 hit and eviction counts are deterministic.
 """
 
+import os
 import pickle
 import sys
 import threading
@@ -20,6 +21,7 @@ from repro.datasets import base, build_songs, build_tess
 from repro.datasets.base import Corpus
 from repro.memo import ByteBudgetMemo
 from repro.obs import metrics
+from repro.parallel import ExecutorPool
 from repro.phone import VibrationChannel
 
 
@@ -264,15 +266,33 @@ class TestCollectionParity:
             assert other.spectrograms.images.tobytes() == serial.spectrograms.images.tobytes()
             assert list(other.features.y) == list(serial.features.y)
 
-    def test_pool_worker_reads_but_stores_nothing(self, monkeypatch, memo, corpus):
+    def test_pool_worker_reads_but_stores_nothing(self, memo, corpus):
         import repro.attack.engine as engine
 
-        monkeypatch.setattr(engine, "_WORKER_CONTEXT", None)
+        channel = VibrationChannel("oneplus7t", mode="loudspeaker", placement="table_top")
         inherited = corpus.render(corpus.specs[0])
-        engine._init_worker(None)  # what each process-pool worker runs first
-        assert corpus.render(corpus.specs[0]) is inherited
-        corpus.render_batch(corpus.specs[1:5])
-        assert len(memo) == 1
+        # A config built by another process: the task runs as a worker
+        # of that process's pool would.
+        config = engine._PassConfig(
+            corpus=corpus, channel=channel, detector=engine._default_detector(channel),
+            seed=3, size=32, feature_highpass_hz=None, origin_pid=os.getpid() + 1,
+        )
+        rows, capture = engine._run_chunk_task((config, list(enumerate(corpus.specs[:5]))))
+        assert any(label is not None for _, label, _, _ in rows)
+        assert capture.registry.counter_total("render.cache_hits") == 1
+        assert len(memo) == 1 and corpus.render(corpus.specs[0]) is inherited
+
+    def test_serial_pass_in_another_pools_worker_stores(self, memo, corpus):
+        """A serial pass inside an ``eval.suite`` cell's worker keeps its renders."""
+        with ExecutorPool(n_jobs=2, executor="process") as pool:
+            sizes = pool.map(_serial_pass_memo_size, [corpus, corpus])
+        assert sizes == [len(corpus.specs)] * 2
+        assert len(memo) == 0  # the workers' memos are their own
+
+
+def _serial_pass_memo_size(corpus):
+    _collect_with(corpus, "serial")
+    return len(base._RENDER_MEMO)
 
 
 def _golden_checks():

@@ -94,7 +94,7 @@ class TestPublishOnce:
         assert stats.renders == len(specs)
         assert stats.n_played == len(specs)
         assert stats.regions_used == result.stats.regions_used
-        # Stage time reached the registry exactly once too (workers ship
-        # their spans back as one aggregate for the process pool).
+        # Stage time reached the registry exactly once too (every chunk's
+        # captured spans and timers are merged once, from any executor).
         assert stats.render_s == pytest.approx(result.stats.render_s)
         assert stats.transmit_s == pytest.approx(result.stats.transmit_s)

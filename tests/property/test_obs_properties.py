@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attack.engine import CollectionStats
+from repro.attack.engine import _COUNTER_FIELDS, _TIMER_FIELDS, CollectionStats
 from repro.obs import MetricsRegistry, Tracer
 
 # -- registry generation ----------------------------------------------------
@@ -126,27 +126,36 @@ _NUMERIC_FIELDS = (
 )
 
 
+def _recorded(stats: CollectionStats) -> MetricsRegistry:
+    """The registry of a pass that recorded exactly ``stats``."""
+    registry = MetricsRegistry()
+    for name in _COUNTER_FIELDS:
+        if getattr(stats, name):
+            registry.count(name, getattr(stats, name))
+    for name, timer in _TIMER_FIELDS.items():
+        if getattr(stats, name):
+            registry.observe(timer, getattr(stats, name), status="ok")
+    registry.gauge("engine.n_jobs", stats.n_jobs, executor=stats.executor)
+    return registry
+
+
 class TestStatsRegistryAgreement:
     @given(stats_records, stats_records)
     @settings(max_examples=50, deadline=None)
-    def test_add_agrees_with_registry_merge(self, a, b):
-        expected = CollectionStats(**{f: getattr(a, f) for f in _NUMERIC_FIELDS},
-                                   n_jobs=a.n_jobs, executor=a.executor)
-        expected.add(b)
-
-        merged = a.to_registry().merge(b.to_registry())
-        view = CollectionStats.from_registry(merged)
+    def test_merged_registries_sum_fieldwise(self, a, b):
+        view = CollectionStats.from_registry(_recorded(a).merge(_recorded(b)))
 
         for field in _NUMERIC_FIELDS:
-            assert getattr(view, field) == getattr(expected, field), field
-        assert view.n_jobs == expected.n_jobs
+            assert getattr(view, field) == getattr(a, field) + getattr(b, field), field
+        # The pool reads as the widest one either pass ran.
+        assert view.n_jobs == max(a.n_jobs, b.n_jobs)
         if a.n_jobs != b.n_jobs:
-            assert view.executor == expected.executor
+            assert view.executor == (a if a.n_jobs > b.n_jobs else b).executor
 
     @given(stats_records)
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_through_registry(self, stats):
-        view = CollectionStats.from_registry(stats.to_registry())
+        view = CollectionStats.from_registry(_recorded(stats))
         for field in _NUMERIC_FIELDS:
             assert getattr(view, field) == getattr(stats, field), field
         assert view.n_jobs == stats.n_jobs
