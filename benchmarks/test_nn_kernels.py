@@ -7,10 +7,16 @@ float64 (``reference/f64``), the im2col GEMM rewrite in float64
 microbenchmarks, then as full one-epoch ``fit`` runs of the paper's
 feature CNN and spectrogram CNN.
 
-The acceptance gate lives here: the GEMM+float32 spectrogram-CNN epoch
-must run at least 2x faster than the seed kernel path. All timings and
-the derived speedups are written to ``BENCH_4.json`` (override the path
-with ``EMOLEAK_BENCH_OUT``) so CI uploads the trajectory as an artifact.
+A last row times the spectrogram CNN's first ``ReLU -> Dropout ->
+MaxPool2D`` tail two ways: the three standalone layers in turn
+(``stack``) and the fused unit ``Sequential`` actually runs
+(``fused``), at widths 1.0 and 0.25.
+
+The acceptance gates live here: the GEMM+float32 spectrogram-CNN epoch
+must run at least 2x faster than the seed kernel path, and the fused
+tail at least 1.5x faster than the stack. All timings and the derived
+speedups are written to ``BENCH_4.json`` (override the path with
+``EMOLEAK_BENCH_OUT``) so CI uploads the trajectory as an artifact.
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ import numpy as np
 import pytest
 
 from repro.attack.models import build_feature_cnn, build_spectrogram_cnn
-from repro.nn.layers import Conv1D, Conv2D
+from repro.nn.layers import (
+    Conv1D,
+    Conv2D,
+    Dropout,
+    MaxPool2D,
+    ReLU,
+    ReLUDropoutPool,
+)
 from repro.nn.optim import Adam
 from repro.nn.policy import policy_scope
 
@@ -38,6 +51,8 @@ CONFIGS = [
 
 #: Filled by the tests, serialised to BENCH_4.json at session end.
 RESULTS: dict[str, dict[str, float]] = {}
+#: Fused-tail row: {"stack": s, "fused": s} per width.
+TAIL: dict[str, dict[str, float]] = {}
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -80,6 +95,10 @@ def _write_bench_artifact():
         ],
         "seconds": RESULTS,
         "speedup_vs_reference_f64": speedups,
+        "fused_tail_seconds": TAIL,
+        "fused_tail_speedup_vs_stack": {
+            name: block["stack"] / block["fused"] for name, block in TAIL.items()
+        },
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -175,4 +194,49 @@ class TestModelEpochBench:
         assert speedup >= 2.0, (
             f"GEMM+float32 spectrogram epoch only {speedup:.2f}x faster than "
             f"the reference float64 kernels (gate: 2x)"
+        )
+
+
+class TestFusedTailBench:
+    @pytest.mark.parametrize("width_scale", [1.0, 0.25])
+    def test_fused_tail_meets_speedup_gate(self, width_scale):
+        """Acceptance gate: the fused tail runs >= 1.5x faster than the stack.
+
+        The spectrogram CNN's first block at batch 32: its 1x1 conv's
+        32x32 float64 maps through ReLU -> Dropout(0.2) -> MaxPool2D(2),
+        forward and backward over a few batches, best of 3 (interleaved).
+        """
+        filters = build_spectrogram_cnn(7, width_scale=width_scale).layers[0].filters
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(32, 32, 32, filters))
+        grad = rng.normal(size=(32, 16, 16, filters))
+        stack = [ReLU(), Dropout(0.2, seed=1), MaxPool2D(2)]
+        fused = [ReLUDropoutPool(Dropout(0.2, seed=1), MaxPool2D(2))]
+
+        def batches(units):
+            for _ in range(3):
+                out = x
+                for unit in units:
+                    out = unit.forward(out, True)
+                g = grad
+                for unit in reversed(units):
+                    g = unit.backward(g)
+
+        batches(stack)  # warm caches, allocators and the fused scratch
+        batches(fused)
+        best = {"stack": float("inf"), "fused": float("inf")}
+        for _ in range(3):
+            for label, units in (("stack", stack), ("fused", fused)):
+                t0 = time.perf_counter()
+                batches(units)
+                best[label] = min(best[label], time.perf_counter() - t0)
+        name = f"relu_dropout_maxpool2d_32x32x{filters}"
+        TAIL[name] = best
+        speedup = best["stack"] / best["fused"]
+        print_header(f"NN kernel benchmark - {name}")
+        print(f"  stack: {best['stack'] * 1e3:9.2f} ms")
+        print(f"  fused: {best['fused'] * 1e3:9.2f} ms  ({speedup:5.2f}x)")
+        assert speedup >= 1.5, (
+            f"fused ReLU->Dropout->MaxPool2D only {speedup:.2f}x faster than "
+            f"the three-layer stack at width {width_scale} (gate: 1.5x)"
         )

@@ -25,7 +25,7 @@ from repro.nn.policy import (
     conv_kernel,
 )
 from repro.nn.initializers import he_normal, glorot_uniform
-from repro.nn.activations import relu, relu_grad, softmax
+from repro.nn.activations import relu, softmax
 from repro.nn.losses import CategoricalCrossEntropy
 from repro.nn.layers import (
     Layer,
@@ -63,7 +63,6 @@ __all__ = [
     "he_normal",
     "glorot_uniform",
     "relu",
-    "relu_grad",
     "softmax",
     "CategoricalCrossEntropy",
     "Layer",

@@ -1,20 +1,15 @@
-"""Activation functions and their gradients."""
+"""Activation functions."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["relu", "relu_grad", "softmax"]
+__all__ = ["relu", "softmax"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit."""
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of ReLU w.r.t. its input (1 where x > 0)."""
-    return (x > 0.0).astype(x.dtype)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -20,16 +20,24 @@ per-layer reusable im2col workspace (grown once, then recycled every
 batch), the forward is ``cols @ W2d + b`` and the backward is two GEMMs
 (``colsᵀ @ grad`` for dW, ``grad @ W2dᵀ`` followed by a kh·kw slice
 scatter-add for dX). 1x1 convolutions skip the gather entirely.
+
+Max pooling sweeps the pool-window offsets as strided views in row-major
+order, keeping the running max and a compact (uint8 when it fits)
+first-occurrence window index; backward scatters the gradient's bit
+patterns into the winning offsets. :class:`~repro.nn.model.Sequential`
+runs each ``ReLU -> Dropout -> MaxPool`` run of layers as one
+:class:`ReLUDropoutPool` unit (see :func:`execution_plan`), which keeps
+only the pooled output and that index for backward.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.activations import relu, relu_grad
+from repro.nn.activations import relu
 from repro.nn.initializers import he_normal
 from repro.nn.policy import CONV_KERNELS, get_policy
 
@@ -44,6 +52,8 @@ __all__ = [
     "Dropout",
     "BatchNorm",
     "ReLU",
+    "ReLUDropoutPool",
+    "execution_plan",
 ]
 
 
@@ -100,7 +110,7 @@ class ReLU(Layer):
         return relu(x)
 
     def backward(self, grad):
-        return grad * relu_grad(self._x)
+        return np.multiply(grad, self._x > 0)
 
 
 class Flatten(Layer):
@@ -170,25 +180,40 @@ class Dropout(Layer):
         self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
-    def forward(self, x, training):
+    def _draws(self, x, training, workspace: Optional[_Workspace] = None):
+        """This batch's uniform draws, or None when dropout is inactive.
+
+        Draws happen in the activation dtype: float64 inputs keep the
+        original stream; float32 inputs get native float32 draws (half
+        the bandwidth, no astype) at the cost of a policy-specific mask.
+        A unit is kept where its draw is below ``1 - rate``. With a
+        ``workspace`` the draws land in its reused buffer.
+        """
         if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        # Draw in the activation dtype: float64 inputs keep the original
-        # stream; float32 inputs get native float32 draws (half the
-        # bandwidth, no astype) at the cost of a policy-specific mask.
-        draw_dtype = np.float32 if x.dtype == np.float32 else np.float64
-        self._mask = (self._rng.random(x.shape, dtype=draw_dtype) < keep).astype(
-            x.dtype
-        )
-        self._mask /= np.asarray(keep, dtype=x.dtype)
-        return x * self._mask
+            return None
+        dtype = np.float32 if x.dtype == np.float32 else np.float64
+        out = None if workspace is None else workspace.get(x.shape, dtype)
+        return self._rng.random(x.shape, dtype=dtype, out=out)
+
+    def _inv_keep(self, dtype):
+        """The kept units' scale ``1/keep``, rounded in ``dtype``."""
+        return dtype.type(1) / dtype.type(1.0 - self.rate)
+
+    def forward(self, x, training):
+        draws = self._draws(x, training)
+        self._kept = None if draws is None else draws < 1.0 - self.rate
+        self._scale = self._inv_keep(x.dtype)
+        return self._apply(x)
 
     def backward(self, grad):
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+        return self._apply(grad)
+
+    def _apply(self, a):
+        if self._kept is None:
+            return a
+        out = np.multiply(a, self._kept)
+        out *= self._scale
+        return out
 
 
 class BatchNorm(Layer):
@@ -554,8 +579,66 @@ class Conv1D(_ConvBase):
         return dxp[:, p0 : lp - p1, :]
 
 
-class MaxPool2D(Layer):
-    """Non-overlapping 2-D max pooling (trailing remainder cropped)."""
+def _pool_windows(a: np.ndarray, p: int) -> List[np.ndarray]:
+    """One strided view of ``a`` per pool-window offset, in row-major order.
+
+    ``a`` is ``(N, L, C)`` or ``(N, H, W, C)``; every view has the pooled
+    shape (trailing remainder cropped). A pool larger than the input
+    (along any axis) covers the whole spatial extent instead.
+    """
+    n, c = a.shape[0], a.shape[-1]
+    spatial = a.shape[1:-1]
+    if min(spatial) < p:
+        flat = a.reshape(n, -1, c)
+        unit = (n,) + (1,) * len(spatial) + (c,)
+        return [flat[:, k : k + 1, :].reshape(unit) for k in range(flat.shape[1])]
+    if len(spatial) == 1:
+        stop = spatial[0] // p * p
+        return [a[:, k:stop:p, :] for k in range(p)]
+    hs, ws = spatial[0] // p * p, spatial[1] // p * p
+    return [a[:, i:hs:p, j:ws:p, :] for i in range(p) for j in range(p)]
+
+
+def _max_pool(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping max pool: ``(pooled, first-occurrence window index)``."""
+    windows = _pool_windows(x, p)
+    out = windows[0].copy()
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
+    gt = np.empty(out.shape, dtype=bool)
+    step = np.empty_like(idx)
+    for k, v in enumerate(windows[1:], 1):
+        np.greater(v, out, out=gt)
+        # On a tie np.maximum returns its second operand, so the earlier
+        # window keeps its bits (+0.0 vs -0.0), as argmax would pick it.
+        np.maximum(v, out, out=out)
+        # k only grows, so max(idx, gt * k) writes k exactly where gt.
+        np.multiply(gt, idx.dtype.type(k), out=step)
+        np.maximum(idx, step, out=idx)
+    return out, idx
+
+
+def _unpool(grad: np.ndarray, idx: np.ndarray, shape, p: int) -> np.ndarray:
+    """dx of ``shape``: ``grad`` at each window's winner, +0.0 elsewhere.
+
+    Every element is written once: the windows tile ``dx`` except for
+    the cropped remainder, which is zeroed. The scatter multiplies the gradient's integer bit patterns by the
+    0/1 winner mask, so winners keep their exact bits (-0.0 included).
+    """
+    dx = np.empty(shape, dtype=grad.dtype)
+    if min(shape[1:-1]) >= p:  # the cropped remainder is in no window
+        for axis, size in enumerate(shape[1:-1], 1):
+            dx[(slice(None),) * axis + (slice(size // p * p, None),)] = 0.0
+    bits = np.dtype(f"i{dx.itemsize}")
+    gbits = grad.view(bits)
+    hit = np.empty(idx.shape, dtype=bool)
+    for k, window in enumerate(_pool_windows(dx, p)):
+        np.equal(idx, k, out=hit)
+        np.multiply(gbits, hit, out=window.view(bits))
+    return dx
+
+
+class _MaxPool(Layer):
+    """Non-overlapping max pooling (trailing remainder cropped)."""
 
     def __init__(self, pool_size: int = 2):
         super().__init__()
@@ -564,90 +647,89 @@ class MaxPool2D(Layer):
         self.p = int(pool_size)
 
     def output_shape(self, input_shape):
-        h, w, c = input_shape
-        return (max(1, h // self.p), max(1, w // self.p), c)
+        return tuple(max(1, d // self.p) for d in input_shape[:-1]) + input_shape[-1:]
 
     def forward(self, x, training):
-        n, h, w, c = x.shape
-        p = self.p
-        h_out, w_out = max(1, h // p), max(1, w // p)
-        if h < p or w < p:
-            # Degenerate: pool over whatever is there.
-            self._degenerate = True
-            self._shape = x.shape
-            flat = x.reshape(n, h * w, c)
-            self._argmax = flat.argmax(axis=1)
-            return flat.max(axis=1).reshape(n, 1, 1, c)
-        self._degenerate = False
-        xc = x[:, : h_out * p, : w_out * p, :]
         self._shape = x.shape
-        self._dtype = x.dtype
-        blocks = xc.reshape(n, h_out, p, w_out, p, c).transpose(0, 1, 3, 5, 2, 4)
-        blocks = blocks.reshape(n, h_out, w_out, c, p * p)
-        self._argmax = blocks.argmax(axis=-1)
-        # One reduction pass: the max is the value at the argmax, so a
-        # gather replaces a second full scan of the pooling windows.
-        return np.take_along_axis(blocks, self._argmax[..., None], axis=-1)[..., 0]
+        out, self._idx = _max_pool(x, self.p)
+        return out
 
     def backward(self, grad):
-        n, h, w, c = self._shape
-        p = self.p
-        dx = np.zeros((n, h, w, c), dtype=grad.dtype)
-        if self._degenerate:
-            flat = dx.reshape(n, h * w, c)
-            ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-            flat[ni, self._argmax, ci] = grad.reshape(n, c)
-            return flat.reshape(n, h, w, c)
-        h_out, w_out = grad.shape[1], grad.shape[2]
-        rows, cols = np.divmod(self._argmax, p)
-        ni = np.arange(n)[:, None, None, None]
-        hb = (np.arange(h_out) * p)[None, :, None, None]
-        wb = (np.arange(w_out) * p)[None, None, :, None]
-        ci = np.arange(c)[None, None, None, :]
-        flat_idx = ((ni * h + hb + rows) * w + (wb + cols)) * c + ci
-        dx.reshape(-1)[flat_idx.ravel()] = grad.ravel()
-        return dx
+        return _unpool(grad, self._idx, self._shape, self.p)
 
 
-class MaxPool1D(Layer):
-    """Non-overlapping 1-D max pooling (trailing remainder cropped)."""
+class MaxPool2D(_MaxPool):
+    """Non-overlapping 2-D max pooling over ``(N, H, W, C)``."""
 
-    def __init__(self, pool_size: int = 2):
-        super().__init__()
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        self.p = int(pool_size)
 
-    def output_shape(self, input_shape):
-        length, c = input_shape
-        return (max(1, length // self.p), c)
+class MaxPool1D(_MaxPool):
+    """Non-overlapping 1-D max pooling over ``(N, L, C)``."""
+
+
+class ReLUDropoutPool:
+    """A ``ReLU -> Dropout -> MaxPool`` run executed as one unit.
+
+    Byte-identical to running the three layers in turn: the same
+    Dropout draws, the same first-occurrence argmax and the same
+    gradient bits. It keeps only the pooled output and the window index
+    for backward, not the input or a float dropout mask.
+    """
+
+    def __init__(self, dropout: Dropout, pool: _MaxPool):
+        self.dropout = dropout
+        self.pool = pool
+        self._scratch = _Workspace()
 
     def forward(self, x, training):
-        n, length, c = x.shape
-        p = self.p
+        dropout = self.dropout
+        mask = dropout._draws(x, training, self._scratch)
+        if mask is None:
+            self._scale = x.dtype.type(1)
+            u = x
+        else:
+            # In place, the draws become the mask {1/keep, 0.0} and then
+            # the dropped-out input: x * (1/keep) == (x * 1) * (1/keep).
+            self._scale = dropout._inv_keep(x.dtype)
+            np.less(mask, 1.0 - dropout.rate, out=mask)
+            mask *= self._scale
+            u = np.multiply(x, mask, out=mask)
+        # ReLU commutes with the max, so it runs on the pooled output
+        # only. A window whose max is not positive is all zeros after
+        # ReLU, and the stack's first-occurrence argmax then picks its
+        # first element.
+        self._pooled, self._idx = _max_pool(u, self.pool.p)
+        np.maximum(self._pooled, 0.0, out=self._pooled)
+        self._idx *= self._pooled > 0
         self._shape = x.shape
-        if length < p:
-            self._degenerate = True
-            self._argmax = x.argmax(axis=1)
-            return x.max(axis=1, keepdims=True)
-        self._degenerate = False
-        l_out = length // p
-        xc = x[:, : l_out * p, :].reshape(n, l_out, p, c)
-        self._argmax = xc.argmax(axis=2)
-        return np.take_along_axis(xc, self._argmax[:, :, None, :], axis=2)[:, :, 0, :]
+        return self._pooled
 
     def backward(self, grad):
-        n, length, c = self._shape
-        p = self.p
-        dx = np.zeros((n, length, c), dtype=grad.dtype)
-        if self._degenerate:
-            ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-            dx[ni, self._argmax, ci] = grad[:, 0, :]
-            return dx
-        l_out = grad.shape[1]
-        ni = np.arange(n)[:, None, None]
-        lb = (np.arange(l_out) * p)[None, :, None]
-        ci = np.arange(c)[None, None, :]
-        flat_idx = (ni * length + lb + self._argmax) * c + ci
-        dx.reshape(-1)[flat_idx.ravel()] = grad.ravel()
-        return dx
+        # At a winner the stack's (grad * mask) * relu' is grad * (1/keep)
+        # where the pooled value is positive, and grad * 0.0 elsewhere.
+        w = np.multiply(self._pooled > 0, self._scale, dtype=self._pooled.dtype)
+        np.multiply(grad, w, out=w)
+        return _unpool(w, self._idx, self._shape, self.pool.p)
+
+
+def execution_plan(layers: Sequence[Layer]) -> List[Tuple[str, object]]:
+    """``(label, unit)`` pairs that run ``layers`` in order.
+
+    Every ``ReLU -> Dropout -> MaxPool1D/2D`` run becomes one
+    :class:`ReLUDropoutPool` labelled with its layers, e.g.
+    ``"1-3:ReLU+Dropout+MaxPool2D"``; every other layer runs as itself,
+    labelled ``"{i}:{class}"``. The layer list itself is untouched, so
+    weight keys and checkpoints do not depend on the plan.
+    """
+    plan: List[Tuple[str, object]] = []
+    i = 0
+    while i < len(layers):
+        run = layers[i : i + 3]
+        kinds = tuple(type(layer) for layer in run)
+        if kinds in ((ReLU, Dropout, MaxPool1D), (ReLU, Dropout, MaxPool2D)):
+            names = "+".join(kind.__name__ for kind in kinds)
+            plan.append((f"{i}-{i + 2}:{names}", ReLUDropoutPool(run[1], run[2])))
+            i += 3
+        else:
+            plan.append((f"{i}:{kinds[0].__name__}", layers[i]))
+            i += 1
+    return plan

@@ -5,11 +5,14 @@
 
 The container is policy-aware: layers build their parameters in the
 :mod:`repro.nn.policy` compute dtype (pinned per model at build time)
-and inputs are cast to that dtype on entry. ``fit`` accumulates
-per-layer forward/backward wall time and records it as
-``layer_forward`` / ``layer_backward`` spans on the ambient
-:mod:`repro.obs` tracer when training ends, so a trace of a CNN cell
-shows where the epochs actually went.
+and inputs are cast to that dtype on entry. Layers run through an
+execution plan (:func:`repro.nn.layers.execution_plan`) that fuses each
+``ReLU -> Dropout -> MaxPool`` run into one unit; the layer list, and
+so every weight key, stays as given. ``fit`` accumulates per-unit
+forward/backward wall time and records it as ``layer_forward`` /
+``layer_backward`` spans on the ambient :mod:`repro.obs` tracer when
+training ends, so a trace of a CNN cell shows where the epochs
+actually went.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.activations import softmax
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, execution_plan
 from repro.nn.losses import CategoricalCrossEntropy
 from repro.nn.optim import Adam
 from repro.nn.policy import get_policy
@@ -73,6 +76,7 @@ class Sequential:
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         self.layers = list(layers)
+        self._plan = execution_plan(self.layers)
         self.n_classes = int(n_classes)
         self.seed = int(seed)
         self.loss_fn = CategoricalCrossEntropy()
@@ -92,39 +96,43 @@ class Sequential:
             raise ValueError(
                 f"model output shape {shape} != (n_classes={self.n_classes},)"
             )
+        self._plan = execution_plan(self.layers)
         self._built = True
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = x
-        for layer in self.layers:
-            out = layer.forward(out, training)
+        for _, unit in self._plan:
+            out = unit.forward(out, training)
         return out
 
     def _backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for _, unit in reversed(self._plan):
+            grad = unit.backward(grad)
 
     def _forward_timed(self, x: np.ndarray, seconds: np.ndarray) -> np.ndarray:
         out = x
-        for i, layer in enumerate(self.layers):
+        for i, (_, unit) in enumerate(self._plan):
             t0 = time.perf_counter()
-            out = layer.forward(out, True)
+            out = unit.forward(out, True)
             seconds[i] += time.perf_counter() - t0
         return out
 
     def _backward_timed(self, grad: np.ndarray, seconds: np.ndarray) -> None:
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(len(self._plan) - 1, -1, -1):
             t0 = time.perf_counter()
-            grad = self.layers[i].backward(grad)
+            grad = self._plan[i][1].backward(grad)
             seconds[i] += time.perf_counter() - t0
 
     def _record_layer_spans(self, fwd_s: np.ndarray, bwd_s: np.ndarray) -> None:
-        """Attach accumulated per-layer timings as spans on the tracer."""
+        """Attach accumulated per-unit timings as spans on the tracer.
+
+        One span per executed unit: a fused tail is labelled with its
+        layers, e.g. ``1-3:ReLU+Dropout+MaxPool2D``.
+        """
         from repro.obs import tracer
 
         tr = tracer()
-        for i, layer in enumerate(self.layers):
-            name = f"{i}:{type(layer).__name__}"
+        for i, (name, _) in enumerate(self._plan):
             tr.record(
                 "layer_forward", fwd_s[i], metric_labels={"layer": name}, layer=name
             )
@@ -197,8 +205,8 @@ class Sequential:
         rng = np.random.default_rng(shuffle_seed)
         history = History()
         n = X.shape[0]
-        fwd_s = np.zeros(len(self.layers))
-        bwd_s = np.zeros(len(self.layers))
+        fwd_s = np.zeros(len(self._plan))
+        bwd_s = np.zeros(len(self._plan))
         try:
             for epoch in range(epochs):
                 order = rng.permutation(n)

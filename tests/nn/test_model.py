@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import BatchNorm, Conv1D, Dense, Flatten, MaxPool1D, ReLU
+from repro.nn.layers import (
+    Conv1D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool1D,
+    ReLU,
+)
 from repro.nn.losses import CategoricalCrossEntropy
 from repro.nn.model import History, Sequential
 from repro.nn.optim import SGD, Adam
@@ -172,6 +179,27 @@ class TestSequential:
         assert len(fwd) == 3 and len(bwd) == 3  # one span per layer
         assert {s.labels["layer"] for s in fwd} == {"0:Dense", "1:ReLU", "2:Dense"}
         assert all(s.duration_s >= 0.0 for s in fwd + bwd)
+        reset_observability()
+
+        # A CNN: each ReLU -> Dropout -> MaxPool run is one executed
+        # unit, so one span labelled with its layers.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(24, 16, 1))
+        y = np.arange(24) % 2
+        Sequential(
+            [Conv1D(4, 3), ReLU(), Dropout(0.2, seed=1), MaxPool1D(2),
+             Flatten(), Dense(8), ReLU(), Dropout(0.25), Dense(2)],
+            n_classes=2,
+            seed=0,
+        ).fit(X, y, epochs=1, batch_size=8)
+        expected = {
+            "0:Conv1D", "1-3:ReLU+Dropout+MaxPool1D", "4:Flatten", "5:Dense",
+            "6:ReLU", "7:Dropout", "8:Dense",
+        }
+        for kind in ("layer_forward", "layer_backward"):
+            spans = tracer().find(kind)
+            assert len(spans) == len(expected)
+            assert {s.labels["layer"] for s in spans} == expected
         reset_observability()
 
     def test_conv1d_stack_trains(self):
