@@ -7,16 +7,24 @@ float64 (``reference/f64``), the im2col GEMM rewrite in float64
 microbenchmarks, then as full one-epoch ``fit`` runs of the paper's
 feature CNN and spectrogram CNN.
 
-A last row times the spectrogram CNN's first ``ReLU -> Dropout ->
+A further row times the spectrogram CNN's first ``ReLU -> Dropout ->
 MaxPool2D`` tail two ways: the three standalone layers in turn
 (``stack``) and the fused unit ``Sequential`` actually runs
 (``fused``), at widths 1.0 and 0.25.
 
+The streamed-lowering rows time the spectrogram CNN's 3x3 block
+(forward, backward and both) against the whole-batch lowering kept as
+the test oracle (``tests/nn/_lowering_oracle.py``), at widths 0.25 and
+1.0, and time ``predict`` of 256 spectrograms with the workspace bytes
+its conv layers keep afterwards.
+
 The acceptance gates live here: the GEMM+float32 spectrogram-CNN epoch
-must run at least 2x faster than the seed kernel path, and the fused
-tail at least 1.5x faster than the stack. All timings and the derived
-speedups are written to ``BENCH_4.json`` (override the path with
-``EMOLEAK_BENCH_OUT``) so CI uploads the trajectory as an artifact.
+must run at least 2x faster than the seed kernel path, the fused tail
+at least 1.5x faster than the stack, and the streamed 3x3 backward at
+width 0.25 at least 0.97x the oracle's speed (10 % under the slowest
+of three full runs on a 2-CPU VM). All timings and the
+derived speedups are written to ``BENCH_4.json`` (override the path
+with ``EMOLEAK_BENCH_OUT``) so CI uploads the trajectory as an artifact.
 """
 
 from __future__ import annotations
@@ -36,11 +44,13 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
     ReLUDropoutPool,
+    _Workspace,
 )
 from repro.nn.optim import Adam
 from repro.nn.policy import policy_scope
 
 from benchmarks._common import print_header
+from tests.nn import _lowering_oracle as oracle
 
 #: (label, conv_kernel, compute_dtype). ``reference/f64`` is the seed path.
 CONFIGS = [
@@ -53,6 +63,10 @@ CONFIGS = [
 RESULTS: dict[str, dict[str, float]] = {}
 #: Fused-tail row: {"stack": s, "fused": s} per width.
 TAIL: dict[str, dict[str, float]] = {}
+#: Streamed-lowering rows: {"streamed"|"oracle": {"forward"|"backward"|"total": s}}.
+LOWERING: dict[str, dict[str, dict[str, float]]] = {}
+#: predict of 256 spectrograms: {"seconds": s, "retained_workspace_bytes": b}.
+PREDICT: dict[str, dict[str, float]] = {}
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -99,6 +113,15 @@ def _write_bench_artifact():
         "fused_tail_speedup_vs_stack": {
             name: block["stack"] / block["fused"] for name, block in TAIL.items()
         },
+        "lowering_seconds": LOWERING,
+        "lowering_speedup_vs_oracle": {
+            name: {
+                part: block["oracle"][part] / block["streamed"][part]
+                for part in block["oracle"]
+            }
+            for name, block in LOWERING.items()
+        },
+        "predict_256_spectrograms": PREDICT,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -240,3 +263,87 @@ class TestFusedTailBench:
             f"fused ReLU->Dropout->MaxPool2D only {speedup:.2f}x faster than "
             f"the three-layer stack at width {width_scale} (gate: 1.5x)"
         )
+
+
+class TestStreamedLoweringBench:
+    @pytest.mark.parametrize("width_scale", [0.25, 1.0])
+    def test_conv3x3_against_whole_batch_oracle(self, width_scale):
+        """The spectrogram CNN's first 3x3 block, float64, batch 32.
+
+        Forward and backward are timed apart, 5 calls (2 at width 1.0)
+        per timing, one warm-up, best of 10, interleaved with the oracle.
+        Acceptance gate (width 0.25 only): the streamed backward runs at
+        least 0.97x as fast as the whole-batch one. Three full BENCH_4
+        runs on a 2-CPU VM, BLAS on both cores, read 1.08, 1.13 and
+        1.21x; the bound sits 10 % under the slowest. The chunk GEMMs
+        are small for two BLAS threads, so the gain is larger with BLAS
+        on one thread, as perfbench runs it.
+        """
+        conv = build_spectrogram_cnn(7, width_scale=width_scale).layers[4]
+        c = conv.filters  # the 1x1 conv before it has as many filters
+        layer = Conv2D(conv.filters, (conv.kh, conv.kw), padding=conv.padding)
+        layer.build((16, 16, c), np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(32, 16, 16, c))
+        grad = rng.normal(size=(32, 16, 16, conv.filters))
+        scratch: dict = {}
+        state = None
+
+        def oracle_forward():
+            nonlocal state
+            _, state = oracle.conv2d_forward(x, layer.W, layer.b, conv.padding, scratch)
+
+        runs = {
+            "streamed": (lambda: layer.forward(x, True), lambda: layer.backward(grad)),
+            "oracle": (oracle_forward, lambda: oracle.conv2d_backward(state, grad)),
+        }
+        calls = 5 if width_scale < 1.0 else 2
+        best = {
+            side: {"forward": float("inf"), "backward": float("inf")} for side in runs
+        }
+        for round_ in range(11):  # round 0 warms the workspaces and is dropped
+            for side, (fwd, bwd) in runs.items():
+                for part, fn in (("forward", fwd), ("backward", bwd)):
+                    t0 = time.perf_counter()
+                    for _ in range(calls):
+                        fn()
+                    secs = (time.perf_counter() - t0) / calls
+                    if round_:
+                        best[side][part] = min(best[side][part], secs)
+        for block in best.values():
+            block["total"] = block["forward"] + block["backward"]
+        name = f"conv2d_16x16x{c}_f{conv.filters}k3_b32"
+        LOWERING[name] = best
+        print_header(f"NN kernel benchmark - streamed lowering - {name}")
+        for part in ("forward", "backward", "total"):
+            ratio = best["oracle"][part] / best["streamed"][part]
+            print(
+                f"  {part:<8}: oracle {best['oracle'][part] * 1e3:8.2f} ms, "
+                f"streamed {best['streamed'][part] * 1e3:8.2f} ms  ({ratio:5.2f}x)"
+            )
+        if width_scale == 0.25:
+            speedup = best["oracle"]["backward"] / best["streamed"]["backward"]
+            assert speedup >= 0.97, (
+                f"streamed 3x3 conv backward only {speedup:.2f}x the speed of the "
+                f"whole-batch lowering at width {width_scale} (gate: 0.97x)"
+            )
+
+    @pytest.mark.parametrize("width_scale", [0.25, 1.0])
+    def test_predict_256_spectrograms(self, width_scale):
+        """Wall time of one 256-spectrogram predict, and the workspace left."""
+        model = build_spectrogram_cnn(7, width_scale=width_scale, seed=0)
+        model.build((32, 32, 1))
+        X = np.random.default_rng(5).random((256, 32, 32, 1)) - 0.5
+        seconds = _best_of(lambda: model.predict(X))
+        retained = sum(
+            ws._buf.nbytes
+            for layer in model.layers
+            for ws in vars(layer).values()
+            if isinstance(ws, _Workspace) and ws._buf is not None
+        )
+        PREDICT[f"width_{width_scale}"] = {
+            "seconds": seconds,
+            "retained_workspace_bytes": retained,
+        }
+        print_header(f"NN kernel benchmark - predict 256 spectrograms, width {width_scale}")
+        print(f"  {seconds * 1e3:9.2f} ms, {retained / 2**20:7.2f} MiB of conv workspace kept")

@@ -14,12 +14,19 @@ Conventions
   original "reference" kernel-offset summation) is re-read from the
   policy on every forward, unless pinned per layer via ``kernel=``.
 
-The GEMM path lowers each convolution to one matrix multiply per
-direction: ``sliding_window_view`` gathers the receptive fields into a
-per-layer reusable im2col workspace (grown once, then recycled every
-batch), the forward is ``cols @ W2d + b`` and the backward is two GEMMs
-(``colsᵀ @ grad`` for dW, ``grad @ W2dᵀ`` followed by a kh·kw slice
-scatter-add for dX). 1x1 convolutions skip the gather entirely.
+The GEMM path lowers each convolution to matrix multiplies streamed
+through cache-sized chunks of samples (:func:`_chunk_bounds`). The
+forward copies a chunk into a zero-bordered pad workspace, gathers its
+receptive fields through one strided window view into the im2col
+workspace, and runs ``cols @ W2d`` into that chunk's output rows; a
+training forward keeps the whole batch's cols for dW, an inference
+forward only one chunk's. The backward forms dW as one GEMM,
+``(gradᵀ @ cols)ᵀ``, and dX per chunk: ``grad @ W2dᵀ`` into a
+chunk-sized workspace, then one scatter-add per kernel offset, clipped
+to the unpadded input. Outputs and gradients are bit-identical to the
+whole-batch lowering (``tests/nn/test_lowering.py``), given the two
+BLAS identities ``tests/nn/test_blas_guard.py`` checks. 1x1
+convolutions skip the gather entirely.
 
 Max pooling sweeps the pool-window offsets as strided views in row-major
 order, keeping the running max and a compact (uint8 when it fits)
@@ -35,7 +42,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.activations import relu
 from repro.nn.initializers import he_normal
@@ -282,8 +289,134 @@ def _pad_amounts(size: int, kernel: int, padding: str) -> Tuple[int, int]:
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
+def _conv_pads(x_shape, ksize, padding: str):
+    """``(before, after)`` zero padding per spatial axis of ``(n, *spatial, c)``."""
+    return tuple(_pad_amounts(s, k, padding) for s, k in zip(x_shape[1:-1], ksize))
+
+
+#: A chunk's im2col rows take about this many bytes (half a 2 MiB L2).
+_CHUNK_COLS_BYTES = 1 << 20
+#: Every chunk GEMM does at least this many multiply-adds. Smaller GEMMs
+#: may take OpenBLAS's small-matrix path, whose rounding can differ from
+#: the whole-batch GEMM's; at or above it the row split is bit-exact.
+_CHUNK_MIN_MACS = 1 << 20
+
+
+def _chunk_bounds(n: int, rows: int, depth: int, filters: int, itemsize: int) -> List[int]:
+    """Sample bounds ``[0, ..., n]`` of the lowering's chunks.
+
+    A sample has ``rows`` im2col rows of ``depth`` columns. A chunk holds
+    enough samples for about ``_CHUNK_COLS_BYTES`` of cols, and for at
+    least ``_CHUNK_MIN_MACS`` multiply-adds against ``filters`` outputs.
+    The batch splits evenly, so no chunk is smaller than that; a batch
+    that fits runs as one chunk.
+    """
+    fit = _CHUNK_COLS_BYTES // (rows * depth * itemsize)
+    floor = -(-_CHUNK_MIN_MACS // (rows * depth * filters))
+    k = max(1, n // max(1, fit, floor))
+    return [n * i // k for i in range(k + 1)]
+
+
+def _fields(x: np.ndarray, ksize, pads, pad_ws: _Workspace, chunk: int):
+    """``fields(a, b)``: the receptive fields of samples ``x[a:b]``.
+
+    ``x`` is ``(n, *spatial, c)``; each result is a strided
+    ``(b - a, *out, *ksize, c)`` view. A padded ``x`` goes through
+    ``pad_ws``, sized for ``chunk`` samples: its border strips are
+    zeroed once per call, and each chunk copies in only its interior.
+    """
+    c = x.shape[-1]
+    if any(p0 or p1 for p0, p1 in pads):
+        spatial = tuple(s + p0 + p1 for s, (p0, p1) in zip(x.shape[1:-1], pads))
+        src = pad_ws.get((chunk,) + spatial + (c,), x.dtype)
+        for axis, (p0, p1) in enumerate(pads, 1):
+            edge = [slice(None)] * src.ndim
+            for strip in (slice(0, p0), slice(src.shape[axis] - p1, None)):
+                edge[axis] = strip
+                src[tuple(edge)] = 0
+        inner = tuple(slice(p0, p0 + s) for s, (p0, _) in zip(x.shape[1:-1], pads))
+    else:
+        src = x
+    out_sp = tuple(s - k + 1 for s, k in zip(src.shape[1:-1], ksize))
+    step = src.strides[1:-1]
+    windows = as_strided(
+        src,
+        src.shape[:1] + out_sp + tuple(ksize) + (c,),
+        src.strides[:1] + step + step + src.strides[-1:],
+        writeable=False,
+    )
+    if src is x:
+        return lambda a, b: windows[a:b]
+
+    def fields(a, b):
+        src[(slice(0, b - a),) + inner] = x[a:b]
+        return windows[: b - a]
+
+    return fields
+
+
+def _conv_forward(x, w2d, ksize, pads, cols_ws, pad_ws, keep_cols=False, bias=None):
+    """``x`` ``(n, *spatial, c)`` convolved with ``w2d`` ``(prod(ksize)*c, f)``.
+
+    Each chunk of samples gathers its receptive fields and runs its GEMM
+    into its rows of the output. Returns ``(out, cols)``: with
+    ``keep_cols`` the whole batch's im2col matrix lands in ``cols_ws``
+    (backward's dW needs it); otherwise ``cols_ws`` holds one chunk and
+    ``cols`` is None.
+    """
+    n, c = x.shape[0], x.shape[-1]
+    out_sp = tuple(
+        s + p0 + p1 - k + 1 for s, (p0, p1), k in zip(x.shape[1:-1], pads, ksize)
+    )
+    rows = int(np.prod(out_sp))
+    depth, f = w2d.shape
+    bounds = _chunk_bounds(n, rows, depth, f, x.itemsize)
+    chunk = max(np.diff(bounds))
+    fields = _fields(x, ksize, pads, pad_ws, chunk)
+    out = np.empty((n * rows, f), dtype=np.result_type(x, w2d))
+    cols = cols_ws.get(((n if keep_cols else chunk) * rows, depth), x.dtype)
+    for a, b in zip(bounds, bounds[1:]):
+        part = cols[a * rows : b * rows] if keep_cols else cols[: (b - a) * rows]
+        np.copyto(part.reshape((b - a,) + out_sp + ksize + (c,)), fields(a, b))
+        np.matmul(part, w2d, out=out[a * rows : b * rows])
+    if bias is not None:
+        out += bias
+    return out.reshape((n,) + out_sp + (f,)), (cols if keep_cols else None)
+
+
+def _col2im(g2, w2d, ksize, pads, dx, dcols_ws) -> None:
+    """Add the input gradient of ``g2`` ``(n*rows, f)`` into zeroed ``dx``.
+
+    Per chunk of samples, ``g2 @ w2dᵀ`` fills a chunk-sized dcols and the
+    kernel offsets scatter-add it, in row-major order and clipped to the
+    unpadded input, straight into ``dx``.
+    """
+    n, c = dx.shape[0], dx.shape[-1]
+    depth, f = w2d.shape
+    rows = g2.shape[0] // n
+    out_sp = tuple(
+        s + p0 + p1 - k + 1 for s, (p0, p1), k in zip(dx.shape[1:-1], pads, ksize)
+    )
+    spans = []  # per kernel offset: (dcols slice, dx slice)
+    for offset in np.ndindex(*ksize):
+        src, dst = [slice(None)], [slice(None)]
+        for o, (p0, _), size, length in zip(offset, pads, dx.shape[1:-1], out_sp):
+            lo, hi = max(0, p0 - o), min(length, size + p0 - o)
+            src.append(slice(lo, hi))
+            dst.append(slice(lo + o - p0, hi + o - p0))
+        spans.append((tuple(src) + offset, tuple(dst)))
+    bounds = _chunk_bounds(n, rows, depth, f, dx.itemsize)
+    for a, b in zip(bounds, bounds[1:]):
+        dcols = dcols_ws.get(((b - a) * rows, depth), dx.dtype)
+        np.matmul(g2[a * rows : b * rows], w2d.T, out=dcols)
+        dcols = dcols.reshape((b - a,) + out_sp + ksize + (c,))
+        dx_chunk = dx[a:b]
+        for src, dst in spans:
+            dx_chunk[dst] += dcols[src]
+
+
 class _ConvBase(Layer):
-    """Shared kernel dispatch for the convolution layers."""
+    """Shared kernel dispatch and GEMM lowering for the convolution layers."""
 
     def __init__(self, kernel: Optional[str]):
         super().__init__()
@@ -292,6 +425,7 @@ class _ConvBase(Layer):
         self.kernel = kernel
         self._cols_ws = _Workspace()
         self._dcols_ws = _Workspace()
+        self._pad_ws = _Workspace()
 
     def _active_kernel(self) -> str:
         return self.kernel if self.kernel is not None else get_policy().conv_kernel
@@ -319,14 +453,54 @@ class _ConvBase(Layer):
             raise RuntimeError("the quantized kernel has no backward pass")
         return self._backward_gemm(grad)
 
+    # -- gemm kernel --------------------------------------------------------
+    def _forward_gemm(self, x, training):
+        ksize, f = self.W.shape[:-2], self.filters
+        self._x = x
+        if ksize == (1,) * len(ksize):
+            # Pointwise: the pixels already are the im2col rows.
+            self._x2 = x.reshape(-1, x.shape[-1])
+            out = self._x2 @ self.W.reshape(-1, f)
+            out += self.b
+            return out.reshape(x.shape[:-1] + (f,))
+        self._pads = _conv_pads(x.shape, ksize, self.padding)
+        out, self._cols = _conv_forward(
+            x, self.W.reshape(-1, f), ksize, self._pads,
+            self._cols_ws, self._pad_ws, keep_cols=training, bias=self.b,
+        )
+        return out
+
+    def _backward_gemm(self, grad):
+        ksize, f = self.W.shape[:-2], self.filters
+        x = self._x
+        spatial_axes = tuple(range(grad.ndim - 1))
+        if ksize == (1,) * len(ksize):
+            g2 = grad.reshape(-1, f)
+            self.grads[0][...] = (self._x2.T @ g2).reshape(self.W.shape)
+            self.grads[1][...] = g2.sum(axis=0)
+            return (g2 @ self.W.reshape(-1, f).T).reshape(x.shape)
+        cols = self._cols
+        if cols is None:  # an inference forward kept only its input
+            cols = self._cols_ws.get((grad.size // f, self.W.size // f), x.dtype)
+            fields = _fields(x, ksize, self._pads, self._pad_ws, len(x))(0, len(x))
+            np.copyto(cols.reshape(fields.shape), fields)
+        g2 = grad.reshape(-1, f)
+        # One GEMM in the orientation OpenBLAS runs faster; the bits equal
+        # cols.T @ g2's (tests/nn/test_blas_guard.py).
+        self.grads[0][...] = (g2.T @ cols).T.reshape(self.W.shape)
+        self.grads[1][...] = grad.sum(axis=spatial_axes)
+        dx = np.zeros(x.shape, dtype=cols.dtype)
+        _col2im(g2, self.W.reshape(-1, f), ksize, self._pads, dx, self._dcols_ws)
+        return dx
+
 
 class Conv2D(_ConvBase):
     """2-D convolution (stride 1, channels-last).
 
-    The default "gemm" kernel lowers the convolution to im2col plus a
-    single GEMM per direction; ``kernel="reference"`` pins this layer to
-    the original kernel-offset summation (otherwise the
-    :mod:`repro.nn.policy` selection applies).
+    The default "gemm" kernel lowers the convolution to im2col plus
+    GEMMs streamed through sample chunks (see the module docstring);
+    ``kernel="reference"`` pins this layer to the original kernel-offset
+    summation (otherwise the :mod:`repro.nn.policy` selection applies).
     """
 
     def __init__(
@@ -365,65 +539,6 @@ class Conv2D(_ConvBase):
         if self.padding == "same":
             return (h, w, self.filters)
         return (h - self.kh + 1, w - self.kw + 1, self.filters)
-
-    # -- gemm kernel --------------------------------------------------------
-    def _forward_gemm(self, x, training):
-        kh, kw, f = self.kh, self.kw, self.filters
-        c = self.W.shape[2]
-        n = x.shape[0]
-        if kh == 1 and kw == 1:
-            # Pointwise: the pixels already are the im2col rows.
-            self._x2 = x.reshape(-1, c)
-            self._x_shape = x.shape
-            out = self._x2 @ self.W[0, 0]
-            out += self.b
-            return out.reshape(n, x.shape[1], x.shape[2], f)
-        ph0, ph1 = _pad_amounts(x.shape[1], kh, self.padding)
-        pw0, pw1 = _pad_amounts(x.shape[2], kw, self.padding)
-        if ph0 or ph1 or pw0 or pw1:
-            xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-        else:
-            xp = x
-        h_out = xp.shape[1] - kh + 1
-        w_out = xp.shape[2] - kw + 1
-        # (n, h_out, w_out, c, kh, kw) view -> contiguous (rows, kh*kw*c).
-        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        cols6 = self._cols_ws.get((n, h_out, w_out, kh, kw, c), xp.dtype)
-        np.copyto(cols6, windows.transpose(0, 1, 2, 4, 5, 3))
-        cols = cols6.reshape(n * h_out * w_out, kh * kw * c)
-        out = cols @ self.W.reshape(kh * kw * c, f)
-        out += self.b
-        self._cols = cols
-        self._x_shape = x.shape
-        self._pads = (ph0, ph1, pw0, pw1)
-        self._out_hw = (h_out, w_out)
-        return out.reshape(n, h_out, w_out, f)
-
-    def _backward_gemm(self, grad):
-        kh, kw, f = self.kh, self.kw, self.filters
-        c = self.W.shape[2]
-        if kh == 1 and kw == 1:
-            g2 = grad.reshape(-1, f)
-            self.grads[0][...] = self._x2.T @ g2
-            self.grads[1][...] = g2.sum(axis=0)
-            return (g2 @ self.W[0, 0].T).reshape(self._x_shape)
-        n = self._x_shape[0]
-        h_out, w_out = self._out_hw
-        g2 = grad.reshape(n * h_out * w_out, f)
-        self.grads[0][...] = (self._cols.T @ g2).reshape(self.W.shape)
-        self.grads[1][...] = grad.sum(axis=(0, 1, 2))
-        dcols = self._dcols_ws.get((g2.shape[0], kh * kw * c), self._cols.dtype)
-        np.matmul(g2, self.W.reshape(kh * kw * c, f).T, out=dcols)
-        dcols6 = dcols.reshape(n, h_out, w_out, kh, kw, c)
-        dxp = np.zeros(
-            (n, h_out + kh - 1, w_out + kw - 1, c), dtype=dcols.dtype
-        )
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + h_out, j : j + w_out, :] += dcols6[:, :, :, i, j, :]
-        ph0, ph1, pw0, pw1 = self._pads
-        hp, wp = dxp.shape[1], dxp.shape[2]
-        return dxp[:, ph0 : hp - ph1, pw0 : wp - pw1, :]
 
     # -- reference kernel (the original kernel-offset summation) ------------
     def _forward_reference(self, x, training):
@@ -499,56 +614,6 @@ class Conv1D(_ConvBase):
         if self.padding == "same":
             return (length, self.filters)
         return (length - self.k + 1, self.filters)
-
-    # -- gemm kernel --------------------------------------------------------
-    def _forward_gemm(self, x, training):
-        k, f = self.k, self.filters
-        c = self.W.shape[1]
-        n = x.shape[0]
-        if k == 1:
-            self._x2 = x.reshape(-1, c)
-            self._x_shape = x.shape
-            out = self._x2 @ self.W[0]
-            out += self.b
-            return out.reshape(n, x.shape[1], f)
-        p0, p1 = _pad_amounts(x.shape[1], k, self.padding)
-        xp = np.pad(x, ((0, 0), (p0, p1), (0, 0))) if (p0 or p1) else x
-        l_out = xp.shape[1] - k + 1
-        # (n, l_out, c, k) view -> contiguous (rows, k*c).
-        windows = sliding_window_view(xp, k, axis=1)
-        cols4 = self._cols_ws.get((n, l_out, k, c), xp.dtype)
-        np.copyto(cols4, windows.transpose(0, 1, 3, 2))
-        cols = cols4.reshape(n * l_out, k * c)
-        out = cols @ self.W.reshape(k * c, f)
-        out += self.b
-        self._cols = cols
-        self._x_shape = x.shape
-        self._pads = (p0, p1)
-        self._l_out = l_out
-        return out.reshape(n, l_out, f)
-
-    def _backward_gemm(self, grad):
-        k, f = self.k, self.filters
-        c = self.W.shape[1]
-        if k == 1:
-            g2 = grad.reshape(-1, f)
-            self.grads[0][...] = self._x2.T @ g2
-            self.grads[1][...] = g2.sum(axis=0)
-            return (g2 @ self.W[0].T).reshape(self._x_shape)
-        n = self._x_shape[0]
-        l_out = self._l_out
-        g2 = grad.reshape(n * l_out, f)
-        self.grads[0][...] = (self._cols.T @ g2).reshape(self.W.shape)
-        self.grads[1][...] = grad.sum(axis=(0, 1))
-        dcols = self._dcols_ws.get((g2.shape[0], k * c), self._cols.dtype)
-        np.matmul(g2, self.W.reshape(k * c, f).T, out=dcols)
-        dcols4 = dcols.reshape(n, l_out, k, c)
-        dxp = np.zeros((n, l_out + k - 1, c), dtype=dcols.dtype)
-        for i in range(k):
-            dxp[:, i : i + l_out, :] += dcols4[:, :, i, :]
-        p0, p1 = self._pads
-        lp = dxp.shape[1]
-        return dxp[:, p0 : lp - p1, :]
 
     # -- reference kernel (the original kernel-offset summation) ------------
     def _forward_reference(self, x, training):

@@ -46,7 +46,6 @@ import io
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.activations import softmax
 from repro.nn.layers import (
@@ -59,7 +58,8 @@ from repro.nn.layers import (
     MaxPool1D,
     MaxPool2D,
     ReLU,
-    _pad_amounts,
+    _conv_forward,
+    _conv_pads,
     _Workspace,
 )
 from repro.nn.losses import CategoricalCrossEntropy
@@ -283,86 +283,54 @@ class QuantizedDense(_QuantizedLayer):
         return acc * (a[:, None] * self.scales[None, :]) + self.bias
 
 
-class QuantizedConv1D(_QuantizedLayer):
-    """Int8 1-D convolution (stride 1, channels-last, ``(k, c, f)`` int8).
+class _QuantizedConv(_QuantizedLayer):
+    """Int8 convolution (stride 1, channels-last, ``(*kernel, c, f)`` int8).
 
-    Lowered exactly like the float GEMM kernel: pad, gather receptive
-    fields with ``sliding_window_view`` into an im2col workspace, one
-    matmul, then per-sample × per-channel dequantisation plus bias.
+    Lowered exactly like the float GEMM kernel, through the same
+    streamed helper: each chunk of samples gathers its receptive fields
+    into a chunk-sized im2col workspace and runs one matmul, then the
+    output gets per-sample × per-channel dequantisation plus bias.
     """
 
-    def __init__(self, wq, scales, bias, padding: str = "same"):
-        super().__init__(wq, scales, bias)
-        if self.wq.ndim != 3:
-            raise ValueError(f"expected (k, c, f) weights, got {self.wq.shape}")
-        self.k, self.c_in, self.filters = self.wq.shape
-        self.padding = padding
-        self._w2 = np.ascontiguousarray(
-            self._wf.reshape(self.k * self.c_in, self.filters)
-        )
-        self._cols_ws = _Workspace()
-
-    def forward(self, x, training=False):
-        self._check_inference(training)
-        k, c, f = self.k, self.c_in, self.filters
-        xq, a = quantize_activations(x)
-        n = xq.shape[0]
-        if k == 1:
-            out = (xq.reshape(-1, c) @ self._w2).reshape(n, x.shape[1], f)
-        else:
-            p0, p1 = _pad_amounts(xq.shape[1], k, self.padding)
-            xp = np.pad(xq, ((0, 0), (p0, p1), (0, 0))) if (p0 or p1) else xq
-            l_out = xp.shape[1] - k + 1
-            windows = sliding_window_view(xp, k, axis=1)  # (n, l_out, c, k)
-            cols4 = self._cols_ws.get((n, l_out, k, c), np.float32)
-            np.copyto(cols4, windows.transpose(0, 1, 3, 2))
-            out = (cols4.reshape(n * l_out, k * c) @ self._w2).reshape(
-                n, l_out, f
-            )
-        return out * (a[:, None, None] * self.scales) + self.bias
-
-
-class QuantizedConv2D(_QuantizedLayer):
-    """Int8 2-D convolution (stride 1, channels-last, ``(kh, kw, c, f)``)."""
+    _ndim = 0
 
     def __init__(self, wq, scales, bias, padding: str = "same"):
         super().__init__(wq, scales, bias)
-        if self.wq.ndim != 4:
+        if self.wq.ndim != self._ndim + 2:
             raise ValueError(
-                f"expected (kh, kw, c, f) weights, got {self.wq.shape}"
+                f"expected {self._ndim + 2}-D (*kernel, c, f) weights, got {self.wq.shape}"
             )
-        self.kh, self.kw, self.c_in, self.filters = self.wq.shape
+        self.ksize = self.wq.shape[:-2]
+        self.c_in, self.filters = self.wq.shape[-2:]
         self.padding = padding
-        self._w2 = np.ascontiguousarray(
-            self._wf.reshape(self.kh * self.kw * self.c_in, self.filters)
-        )
+        self._w2 = np.ascontiguousarray(self._wf.reshape(-1, self.filters))
         self._cols_ws = _Workspace()
+        self._pad_ws = _Workspace()
 
     def forward(self, x, training=False):
         self._check_inference(training)
-        kh, kw, c, f = self.kh, self.kw, self.c_in, self.filters
         xq, a = quantize_activations(x)
-        n = xq.shape[0]
-        if kh == 1 and kw == 1:
-            out = (xq.reshape(-1, c) @ self._w2).reshape(
-                n, x.shape[1], x.shape[2], f
-            )
+        if self.ksize == (1,) * self._ndim:
+            out = xq.reshape(-1, self.c_in) @ self._w2
+            out = out.reshape(xq.shape[:-1] + (self.filters,))
         else:
-            ph0, ph1 = _pad_amounts(xq.shape[1], kh, self.padding)
-            pw0, pw1 = _pad_amounts(xq.shape[2], kw, self.padding)
-            if ph0 or ph1 or pw0 or pw1:
-                xp = np.pad(xq, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-            else:
-                xp = xq
-            h_out = xp.shape[1] - kh + 1
-            w_out = xp.shape[2] - kw + 1
-            windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-            cols6 = self._cols_ws.get((n, h_out, w_out, kh, kw, c), np.float32)
-            np.copyto(cols6, windows.transpose(0, 1, 2, 4, 5, 3))
-            out = (
-                cols6.reshape(n * h_out * w_out, kh * kw * c) @ self._w2
-            ).reshape(n, h_out, w_out, f)
-        return out * (a[:, None, None, None] * self.scales) + self.bias
+            pads = _conv_pads(xq.shape, self.ksize, self.padding)
+            out, _ = _conv_forward(
+                xq, self._w2, self.ksize, pads, self._cols_ws, self._pad_ws
+            )
+        return out * (a.reshape((-1,) + (1,) * (out.ndim - 1)) * self.scales) + self.bias
+
+
+class QuantizedConv1D(_QuantizedConv):
+    """Int8 1-D convolution over ``(N, L, C)`` with ``(k, c, f)`` weights."""
+
+    _ndim = 1
+
+
+class QuantizedConv2D(_QuantizedConv):
+    """Int8 2-D convolution over ``(N, H, W, C)`` with ``(kh, kw, c, f)``."""
+
+    _ndim = 2
 
 
 # -- on-the-fly policy kernels ------------------------------------------------
