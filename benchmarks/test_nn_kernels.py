@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -220,39 +222,66 @@ class TestModelEpochBench:
         )
 
 
+def _fused_tail_seconds(width_scale: float) -> tuple:
+    """``(filters, {"stack": s, "fused": s})`` for the fused-tail row.
+
+    The spectrogram CNN's first block at batch 32: its 1x1 conv's 32x32
+    float64 maps through ReLU -> Dropout(0.2) -> MaxPool2D(2), forward
+    and backward over a few batches, best of 3 (interleaved).
+    """
+    filters = build_spectrogram_cnn(7, width_scale=width_scale).layers[0].filters
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(32, 32, 32, filters))
+    grad = rng.normal(size=(32, 16, 16, filters))
+    stack = [ReLU(), Dropout(0.2, seed=1), MaxPool2D(2)]
+    fused = [ReLUDropoutPool(Dropout(0.2, seed=1), MaxPool2D(2))]
+
+    def batches(units):
+        for _ in range(3):
+            out = x
+            for unit in units:
+                out = unit.forward(out, True)
+            g = grad
+            for unit in reversed(units):
+                g = unit.backward(g)
+
+    batches(stack)  # warm caches, allocators and the fused scratch
+    batches(fused)
+    best = {"stack": float("inf"), "fused": float("inf")}
+    for _ in range(3):
+        for label, units in (("stack", stack), ("fused", fused)):
+            t0 = time.perf_counter()
+            batches(units)
+            best[label] = min(best[label], time.perf_counter() - t0)
+    return filters, best
+
+
 class TestFusedTailBench:
     @pytest.mark.parametrize("width_scale", [1.0, 0.25])
     def test_fused_tail_meets_speedup_gate(self, width_scale):
         """Acceptance gate: the fused tail runs >= 1.5x faster than the stack.
 
-        The spectrogram CNN's first block at batch 32: its 1x1 conv's
-        32x32 float64 maps through ReLU -> Dropout(0.2) -> MaxPool2D(2),
-        forward and backward over a few batches, best of 3 (interleaved).
+        Timed in a fresh interpreter (:func:`_fused_tail_seconds`): the
+        stack's allocations otherwise run against whatever heap the
+        earlier tests of the session left behind, which moved the
+        width-0.25 ratio by more than the gate's margin.
         """
-        filters = build_spectrogram_cnn(7, width_scale=width_scale).layers[0].filters
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(32, 32, 32, filters))
-        grad = rng.normal(size=(32, 16, 16, filters))
-        stack = [ReLU(), Dropout(0.2, seed=1), MaxPool2D(2)]
-        fused = [ReLUDropoutPool(Dropout(0.2, seed=1), MaxPool2D(2))]
-
-        def batches(units):
-            for _ in range(3):
-                out = x
-                for unit in units:
-                    out = unit.forward(out, True)
-                g = grad
-                for unit in reversed(units):
-                    g = unit.backward(g)
-
-        batches(stack)  # warm caches, allocators and the fused scratch
-        batches(fused)
-        best = {"stack": float("inf"), "fused": float("inf")}
-        for _ in range(3):
-            for label, units in (("stack", stack), ("fused", fused)):
-                t0 = time.perf_counter()
-                batches(units)
-                best[label] = min(best[label], time.perf_counter() - t0)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        code = (
+            "import json, sys\n"
+            "from benchmarks.test_nn_kernels import _fused_tail_seconds\n"
+            "print(json.dumps(_fused_tail_seconds(float(sys.argv[1]))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, repr(width_scale)],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        filters, best = json.loads(proc.stdout.strip().splitlines()[-1])
         name = f"relu_dropout_maxpool2d_32x32x{filters}"
         TAIL[name] = best
         speedup = best["stack"] / best["fused"]

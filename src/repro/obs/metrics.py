@@ -11,8 +11,14 @@ identity), which is what makes the registry safe to combine across
 threads and worker processes in any order:
 
 - **counters** add,
-- **timers** add totals/counts and take the max of maxima,
+- **timers** add totals, counts and histogram bucket counts, and take
+  the max of maxima,
 - **gauges** take the maximum (high-water merge).
+
+Every timer keeps a fixed log-spaced histogram (:data:`HIST_RATIO`
+apart, a fixed number of buckets whatever the traffic), so
+:meth:`TimerStat.quantile` answers p50/p99 of a live server's latencies
+within one bucket ratio without retaining any per-request record.
 
 Instances are picklable (the lock is dropped and re-created), so a
 process-pool worker can fill a private registry and ship it back to the
@@ -21,11 +27,12 @@ parent for merging.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["MetricKey", "MetricsRegistry", "TimerStat", "metric_key"]
+__all__ = ["HIST_RATIO", "MetricKey", "MetricsRegistry", "TimerStat", "metric_key"]
 
 #: Canonical metric key: ``(name, sorted (label, value) pairs)``.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -36,13 +43,36 @@ def metric_key(name: str, labels: Dict[str, Any]) -> MetricKey:
     return (str(name), tuple(sorted((str(k), str(v)) for k, v in labels.items())))
 
 
+#: Histogram layout shared by every timer. Bucket 0 holds observations
+#: below ``_HIST_LOW`` (zero included); bucket ``i`` in ``1..N`` holds
+#: ``[LOW * R**(i-1), LOW * R**i)``; the last bucket holds everything at
+#: or above ``LOW * R**N`` (about 12.7 days for seconds).
+_HIST_LOW = 1e-6
+_HIST_PER_OCTAVE = 8
+_HIST_OCTAVES = 40
+_HIST_BUCKETS = _HIST_PER_OCTAVE * _HIST_OCTAVES + 2
+_HIST_TOP = _HIST_LOW * 2.0**_HIST_OCTAVES
+#: Ratio between neighbouring bucket edges; bounds a quantile's relative error.
+HIST_RATIO = 2.0 ** (1.0 / _HIST_PER_OCTAVE)
+
+
+def _bucket(value: float) -> int:
+    if not value >= _HIST_LOW:  # NaN lands here too
+        return 0
+    if value >= _HIST_TOP:
+        return _HIST_BUCKETS - 1
+    index = int(math.log2(value / _HIST_LOW) * _HIST_PER_OCTAVE) + 1
+    return min(index, _HIST_BUCKETS - 2)
+
+
 @dataclass
 class TimerStat:
-    """Aggregate of one timer's observations."""
+    """Aggregate of one timer's observations, with a fixed-size histogram."""
 
     total_s: float = 0.0
     count: int = 0
     max_s: float = 0.0
+    buckets: List[int] = field(default_factory=lambda: [0] * _HIST_BUCKETS)
 
     @property
     def mean_s(self) -> float:
@@ -54,15 +84,42 @@ class TimerStat:
         self.count += 1
         if seconds > self.max_s:
             self.max_s = seconds
+        self.buckets[_bucket(seconds)] += 1
 
     def merge(self, other: "TimerStat") -> None:
         self.total_s += other.total_s
         self.count += other.count
         if other.max_s > self.max_s:
             self.max_s = other.max_s
+        self.buckets = [a + b for a, b in zip(self.buckets, other.buckets)]
 
     def copy(self) -> "TimerStat":
-        return TimerStat(self.total_s, self.count, self.max_s)
+        return TimerStat(self.total_s, self.count, self.max_s, list(self.buckets))
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile of the observations, read off the histogram.
+
+        Within a factor of :data:`HIST_RATIO` of the exact order
+        statistic (the ``ceil(q * count)``-th smallest observation) for
+        observations of at least 1 µs; smaller ones read as 0. Never
+        above ``max_s``; 0 when nothing was observed.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if not self.count:
+            return 0.0
+        rank = max(1, math.ceil(q * self.count))
+        seen = 0
+        for index, n in enumerate(self.buckets):
+            seen += n
+            if seen >= rank:
+                break
+        if index == 0:
+            return 0.0
+        if index == _HIST_BUCKETS - 1:
+            return self.max_s
+        middle = _HIST_LOW * HIST_RATIO ** (index - 0.5)
+        return min(middle, self.max_s)
 
 
 class MetricsRegistry:
@@ -106,12 +163,17 @@ class MetricsRegistry:
 
     def observe(self, name: str, seconds: float, **labels) -> None:
         """Record one timer observation of ``seconds``."""
+        self.observe_many(name, (seconds,), **labels)
+
+    def observe_many(self, name: str, values: Iterable[float], **labels) -> None:
+        """Record one timer observation per entry of ``values`` (one key, one lock)."""
         key = metric_key(name, labels)
         with self._lock:
             stat = self._timers.get(key)
             if stat is None:
                 stat = self._timers[key] = TimerStat()
-            stat.observe(seconds)
+            for seconds in values:
+                stat.observe(seconds)
 
     # -- accessors ----------------------------------------------------------
     def counter_value(self, name: str, **labels) -> float:
@@ -231,7 +293,8 @@ class MetricsRegistry:
                 _format_name(name, labels),
                 "timer",
                 f"n={stat.count} total={stat.total_s:.3f}s "
-                f"mean={stat.mean_s * 1e3:.1f}ms max={stat.max_s * 1e3:.1f}ms",
+                f"mean={stat.mean_s * 1e3:.1f}ms p50={stat.quantile(0.5) * 1e3:.1f}ms "
+                f"p99={stat.quantile(0.99) * 1e3:.1f}ms max={stat.max_s * 1e3:.1f}ms",
             )
         for (name, labels), value in sorted(snap["counters"].items()):
             yield (_format_name(name, labels), "counter", f"{value:g}")

@@ -173,6 +173,9 @@ class AdmissionController:
         self._default = default_config or TenantConfig("default")
         self._tenants: Dict[str, _TenantState] = {}
         self._vtime: Dict[str, float] = {lane: 0.0 for lane in LANES}
+        #: Queued requests per lane over every tenant, kept by offer and
+        #: _pop_lane so backlog() reads are O(1).
+        self._queued: Dict[str, int] = {lane: 0 for lane in LANES}
         self._seq = 0
         self._draining = False
         for config in tenants or []:
@@ -243,6 +246,7 @@ class AdmissionController:
         state.finish[lane] = tag
         self._seq += 1
         queue.append(Admitted(tenant=tenant, lane=lane, item=item, seq=self._seq, finish_tag=tag))
+        self._queued[lane] += 1
         return None
 
     def _backlog_eta(self, depth: int, cost: float) -> float:
@@ -260,6 +264,8 @@ class AdmissionController:
         return entry
 
     def _pop_lane(self, lane: str) -> Optional[Admitted]:
+        if not self._queued[lane]:
+            return None
         best: Optional[_TenantState] = None
         for state in self._tenants.values():
             queue = state.queues[lane]
@@ -270,6 +276,7 @@ class AdmissionController:
         if best is None:
             return None
         entry = best.queues[lane].popleft()
+        self._queued[lane] -= 1
         self._vtime[lane] = entry.finish_tag
         return entry
 
@@ -277,12 +284,10 @@ class AdmissionController:
     def backlog(self, lane: Optional[str] = None, tenant: Optional[str] = None) -> int:
         """Queued-but-undispatched requests, filtered by lane and/or tenant."""
         lanes = LANES if lane is None else (lane,)
-        states = (
-            self._tenants.values()
-            if tenant is None
-            else ([self._tenants[tenant]] if tenant in self._tenants else [])
-        )
-        return sum(len(state.queues[ln]) for state in states for ln in lanes)
+        if tenant is None:
+            return sum(self._queued[ln] for ln in lanes)
+        state = self._tenants.get(tenant)
+        return sum(len(state.queues[ln]) for ln in lanes) if state is not None else 0
 
     def tenants(self) -> List[str]:
         return sorted(self._tenants)

@@ -29,6 +29,14 @@ Contracts, layered on the server's own:
 
 A malformed frame (oversized, garbage, undecodable JSON) kills only the
 connection that sent it, after a best-effort ``error`` response.
+
+Per-request work stays off the hot path where a batch will do: the
+intake counts ``frontend.requests``, sets the ``frontend.backlog`` gauge
+and wakes the dispatcher once per received chunk; resolutions coming
+back from the batcher queue on one lock-guarded deque and are drained
+by one event-loop callback, which writes each connection's response
+frames with one ``write`` and records the ``frontend.request`` latency
+timer per (tenant, lane, status).
 """
 
 from __future__ import annotations
@@ -39,11 +47,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.obs import metrics, tracer
+from repro.obs import metrics
 from repro.serve.admission import (
     AdmissionController,
     Admitted,
@@ -74,10 +82,13 @@ class _Connection:
     closed: bool = False
 
     def send(self, message: Dict[str, Any]) -> bool:
+        return self.write(encode_message(message))
+
+    def write(self, frames: bytes) -> bool:
         if self.closed:
             return False
         try:
-            self.writer.write(encode_message(message))
+            self.writer.write(frames)
             return True
         except Exception:  # noqa: BLE001 - peer vanished mid-write
             self.closed = True
@@ -174,6 +185,11 @@ class ServingFrontend:
             )
         self._connections: Set[_Connection] = set()
         self._inflight = 0
+        #: Resolutions handed over by the batcher thread, drained on the
+        #: event loop; ``_drain_scheduled`` keeps one drain in flight.
+        self._resolved: Deque[Tuple[_PendingRequest, ServeResult]] = deque()
+        self._resolved_lock = threading.Lock()
+        self._drain_scheduled = False
         self._completions: Deque[float] = deque(maxlen=128)
         self.accepted = 0
         self.answered = 0
@@ -194,6 +210,10 @@ class ServingFrontend:
         self._started.clear()
         self._startup_error = None
         self._dispatcher_stop = False
+        with self._resolved_lock:
+            # A drain left pending when a previous loop closed never ran.
+            self._resolved.clear()
+            self._drain_scheduled = False
         self._thread = threading.Thread(
             target=self._thread_main, name="serve-frontend", daemon=True
         )
@@ -293,8 +313,11 @@ class ServingFrontend:
                     metrics().count("frontend.protocol_errors")
                     conn.send({"op": "error", "error": str(exc)})
                     break
+                admitted: Dict[Tuple[str, str], int] = {}
                 for message, tensor in messages:
-                    self._handle_message(conn, message, tensor)
+                    self._handle_message(conn, message, tensor, admitted)
+                if admitted:
+                    self._account_intake(admitted)
         finally:
             conn.closed = True
             self._connections.discard(conn)
@@ -304,9 +327,28 @@ class ServingFrontend:
             except Exception:  # noqa: BLE001
                 pass
 
+    def _account_intake(self, admitted: Dict[Tuple[str, str], int]) -> None:
+        """Count one chunk's admissions and wake the dispatcher once.
+
+        The backlog only grows while a chunk is handled (the dispatcher
+        runs between chunks), so its level now is the chunk's high-water
+        mark.
+        """
+        registry = metrics()
+        for (tenant, lane), n in admitted.items():
+            registry.count("frontend.requests", value=n, tenant=tenant, lane=lane)
+        registry.gauge("frontend.backlog", self.admission.backlog())
+        assert self._wake is not None
+        self._wake.set()
+
     def _handle_message(
-        self, conn: _Connection, message: Dict[str, Any], tensor: Optional[np.ndarray]
+        self,
+        conn: _Connection,
+        message: Dict[str, Any],
+        tensor: Optional[np.ndarray],
+        admitted: Dict[Tuple[str, str], int],
     ) -> None:
+        """Answer or queue one message; admissions are tallied in ``admitted``."""
         op = message.get("op")
         if op == "ping":
             conn.send({"op": "pong", "id": message.get("id")})
@@ -342,13 +384,8 @@ class ServingFrontend:
         if decision is not None:
             self.shed += 1
             metrics().count("frontend.shed", tenant=tenant, reason=decision.reason)
-            tracer().record(
-                "frontend.shed",
-                0.0,
-                metric_labels={"tenant": tenant, "reason": decision.reason},
-                tenant=tenant,
-                lane=pending.lane,
-                reason=decision.reason,
+            metrics().observe(
+                "frontend.shed", 0.0, tenant=tenant, reason=decision.reason, status="ok"
             )
             conn.send(
                 {
@@ -361,10 +398,8 @@ class ServingFrontend:
             )
             return
         self.accepted += 1
-        metrics().count("frontend.requests", tenant=tenant, lane=pending.lane)
-        metrics().gauge("frontend.backlog", self.admission.backlog())
-        assert self._wake is not None
-        self._wake.set()
+        key = (tenant, pending.lane)
+        admitted[key] = admitted.get(key, 0) + 1
 
     def _handle_gate(self, conn: _Connection, message: Dict[str, Any]) -> None:
         """Answer one privacy-gate leakage query synchronously.
@@ -487,7 +522,12 @@ class ServingFrontend:
     async def _dispatch_loop(self) -> None:
         assert self._wake is not None
         while not self._dispatcher_stop:
+            inflight = self._inflight
             pause_s = self._dispatch_ready()
+            if self._inflight > inflight:
+                # Inflight only grows during a dispatch pass, so its
+                # level now is the pass's high-water mark.
+                metrics().gauge("frontend.inflight", self._inflight)
             if pause_s is not None:
                 # Pacing bucket dry with work waiting: sleep exactly
                 # until the next token instead of busy-polling.
@@ -564,15 +604,17 @@ class ServingFrontend:
             self._answer_error(pending, f"{type(exc).__name__}: {exc}")
             return
         self._inflight += 1
-        metrics().gauge("frontend.inflight", self._inflight)
         future.add_done_callback(
             lambda result, p=pending: self._post_result(p, result)
         )
 
     def _post_result(self, pending: _PendingRequest, result: ServeResult) -> None:
-        """Hop a resolution from the batcher thread onto the event loop.
+        """Hand a resolution from the batcher thread to the event loop.
 
-        Runs on the server's batcher thread and must never raise (the
+        Appends to the resolved deque and schedules one
+        :meth:`_drain_resolved` unless one is already pending, so a
+        batch's answers cost one loop wake-up, not one each. Runs on the
+        server's batcher thread and must never raise (the
         ``add_done_callback`` contract): if the drain deadline expired
         with this request still inflight, the loop is already closed and
         ``call_soon_threadsafe`` raises RuntimeError — swallowing it
@@ -582,48 +624,51 @@ class ServingFrontend:
         loop = self._loop
         if loop is None:
             return
+        with self._resolved_lock:
+            self._resolved.append((pending, result))
+            if self._drain_scheduled:
+                return
+            self._drain_scheduled = True
         try:
-            loop.call_soon_threadsafe(self._on_result, pending, result)
+            loop.call_soon_threadsafe(self._drain_resolved)
         except RuntimeError:
             pass  # event loop closed after the drain deadline expired
 
     # -- resolution ----------------------------------------------------------
-    def _on_result(self, pending: _PendingRequest, result: ServeResult) -> None:
-        self._inflight -= 1
-        self._completions.append(time.perf_counter())
-        latency = time.perf_counter() - pending.accepted_at
-        self.answered += 1
-        tracer().record(
-            "frontend.request",
-            latency,
-            metric_labels={
-                "tenant": pending.tenant,
-                "lane": pending.lane,
-                "status": result.status,
-            },
-            tenant=pending.tenant,
-            lane=pending.lane,
-            status=result.status,
-        )
-        metrics().count(
-            "frontend.responses", tenant=pending.tenant, status=result.status
-        )
-        response: Dict[str, Any] = {
-            "op": "result",
-            "id": pending.msg_id,
-            "status": result.status,
-            "model": result.model,
-            "latency_s": round(latency, 6),
-        }
-        if result.ok:
-            response["label"] = result.label
-            response["used"] = result.used
-            if result.proba is not None:
-                response["proba"] = [float(p) for p in result.proba]
-        else:
-            response["error"] = result.error
-        if not pending.conn.send(response):
-            metrics().count("frontend.orphaned", tenant=pending.tenant)
+    def _drain_resolved(self) -> None:
+        """Answer every queued resolution: one write per connection.
+
+        Each response is its own :func:`encode_message` frame, so a
+        connection's byte stream is unchanged; only the ``write`` calls
+        are merged. Frames keep resolution order per connection.
+        """
+        with self._resolved_lock:
+            resolved, self._resolved = self._resolved, deque()
+            self._drain_scheduled = False
+        now = time.perf_counter()
+        self._inflight -= len(resolved)
+        self.answered += len(resolved)
+        self._completions.extend(itertools.repeat(now, len(resolved)))
+        latencies: Dict[Tuple[str, str, str], List[float]] = {}
+        outgoing: Dict[_Connection, List[Tuple[str, bytes]]] = {}
+        for pending, result in resolved:
+            latency = now - pending.accepted_at
+            key = (pending.tenant, pending.lane, result.status)
+            latencies.setdefault(key, []).append(latency)
+            frame = encode_message(_result_message(pending, result, latency))
+            outgoing.setdefault(pending.conn, []).append((pending.tenant, frame))
+        registry = metrics()
+        for (tenant, lane, status), values in latencies.items():
+            registry.observe_many(
+                "frontend.request", values, tenant=tenant, lane=lane, status=status
+            )
+            registry.count(
+                "frontend.responses", value=len(values), tenant=tenant, status=status
+            )
+        for conn, sent in outgoing.items():
+            if not conn.write(b"".join(frame for _, frame in sent)):
+                for tenant, _ in sent:
+                    registry.count("frontend.orphaned", tenant=tenant)
         assert self._wake is not None
         self._wake.set()
 
@@ -645,6 +690,10 @@ class ServingFrontend:
 
     def _answer_error(self, pending: _PendingRequest, error: str) -> None:
         self.answered += 1
+        metrics().observe(
+            "frontend.request", time.perf_counter() - pending.accepted_at,
+            tenant=pending.tenant, lane=pending.lane, status="error",
+        )
         metrics().count(
             "frontend.responses", tenant=pending.tenant, status="error"
         )
@@ -665,6 +714,27 @@ class ServingFrontend:
         if span <= 0:
             return 0.0
         return (len(self._completions) - 1) / span
+
+
+def _result_message(
+    pending: _PendingRequest, result: ServeResult, latency: float
+) -> Dict[str, Any]:
+    """The ``result`` response for one answered request."""
+    response: Dict[str, Any] = {
+        "op": "result",
+        "id": pending.msg_id,
+        "status": result.status,
+        "model": result.model,
+        "latency_s": round(latency, 6),
+    }
+    if result.ok:
+        response["label"] = result.label
+        response["used"] = result.used
+        if result.proba is not None:
+            response["proba"] = [float(p) for p in result.proba]
+    else:
+        response["error"] = result.error
+    return response
 
 
 class AsyncFrontendClient:

@@ -20,11 +20,14 @@ Guarantees:
   bundle's fallback feature classifier; a fault that persists is
   isolated per request (row-by-row) so one poison request cannot take
   down its batchmates, and the server stays up;
-- **observability** — ``serve.batch`` spans around every batch,
-  ``serve.request`` timer records per answered request, and counters
-  for submissions, batches, fallbacks, timeouts and rejections in the
-  ambient :mod:`repro.obs` registry; every answer also lands in the
-  per-resolved-version ``serve.version.responses`` counter;
+- **observability** — ``serve.batch`` spans around every batch, a
+  ``serve.request`` timer observation (a histogram, not a retained
+  span) per answered request, and counters for submissions, batches,
+  fallbacks, timeouts and rejections in the ambient :mod:`repro.obs`
+  registry; every answer also lands in the per-resolved-version
+  ``serve.version.responses`` counter. Answers are resolved and
+  accounted once per model group (:meth:`InferenceServer._answer`),
+  not once per request;
 - **canary / shadow rollout** — :meth:`InferenceServer.set_canary`
   routes a configured fraction of the *bare-name* traffic for a model
   to a candidate version (requests that pin ``name@version`` are never
@@ -49,12 +52,12 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.attack.features import extract_features, extract_features_batch
-from repro.obs import metrics, trace, tracer
+from repro.obs import metrics, trace
 from repro.parallel import ExecutorPool
 from repro.serve.registry import ModelRegistry
 
@@ -114,27 +117,35 @@ class ServeResult:
 
 
 class ServeFuture:
-    """Handle to an in-flight request; resolves exactly once."""
+    """Handle to an in-flight request; resolves exactly once.
+
+    The :class:`threading.Event` a blocking :meth:`result` waits on is
+    made only when a caller actually blocks before resolution; futures
+    consumed through :meth:`add_done_callback` (the front-end) never
+    pay for one.
+    """
+
+    __slots__ = ("request_id", "_result", "_event", "_lock", "_callbacks")
 
     def __init__(self, request_id: int):
         self.request_id = request_id
-        self._event = threading.Event()
         self._result: Optional[ServeResult] = None
-        self._resolved = 0
+        self._event: Optional[threading.Event] = None
         self._lock = threading.Lock()
         self._callbacks: List = []
 
     def _resolve(self, result: ServeResult) -> None:
         with self._lock:
-            if self._resolved:
+            if self._result is not None:
                 raise AssertionError(
                     f"request {self.request_id} resolved twice "
                     f"(exactly-once answer invariant broken)"
                 )
-            self._resolved = 1
             self._result = result
             callbacks, self._callbacks = self._callbacks, []
-        self._event.set()
+            event = self._event
+        if event is not None:
+            event.set()
         for callback in callbacks:
             callback(result)
 
@@ -146,19 +157,28 @@ class ServeFuture:
         uses to hop results back onto its event loop.
         """
         with self._lock:
-            if not self._resolved:
+            result = self._result
+            if result is None:
                 self._callbacks.append(callback)
                 return
-            result = self._result
-        assert result is not None
         callback(result)
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._result is not None
 
     def result(self, timeout: Optional[float] = None) -> ServeResult:
         """Block for the answer; raises :class:`ServeError` on wait timeout."""
-        if not self._event.wait(timeout):
+        result = self._result
+        if result is not None:
+            return result
+        with self._lock:
+            # Checked again under the lock: _resolve sets the result and
+            # reads the event in one critical section, so either it sees
+            # this event or this sees its result.
+            if self._result is None and self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if self._result is None and not event.wait(timeout):
             raise ServeError(
                 f"request {self.request_id} not answered within {timeout}s"
             )
@@ -309,19 +329,16 @@ class InferenceServer:
             self._thread = None
         # The batcher drains before exiting; anything that still slipped
         # in is answered with a stopped-server error value.
+        leftovers: List[_Request] = []
         while True:
             try:
-                request = self._queue.get_nowait()
+                leftovers.append(self._queue.get_nowait())
             except queue.Empty:
                 break
+        for model_ref, requests in _by_model(leftovers).items():
             self._answer(
-                request,
-                ServeResult(
-                    request_id=request.request_id,
-                    status="error",
-                    model=request.model,
-                    error="server stopped before the request was served",
-                ),
+                model_ref, requests, "error",
+                "server stopped before the request was served",
             )
         if self._owns_pool:
             self._pool.close()
@@ -539,25 +556,17 @@ class InferenceServer:
             try:
                 self._run_batch(batch)
             except Exception as exc:  # noqa: BLE001 - the server must stay up
-                for request in batch:
-                    if not request.future.done():
-                        self._answer(
-                            request,
-                            ServeResult(
-                                request_id=request.request_id,
-                                status="error",
-                                model=request.model,
-                                error=f"internal batch failure: "
-                                      f"{type(exc).__name__}: {exc}",
-                            ),
-                        )
+                unanswered = [r for r in batch if not r.future.done()]
+                for model_ref, requests in _by_model(unanswered).items():
+                    self._answer(
+                        model_ref, requests, "error",
+                        f"internal batch failure: {type(exc).__name__}: {exc}",
+                    )
 
     def _run_batch(self, batch: List[_Request]) -> None:
         self.batches_run += 1
         t_start = time.perf_counter()
-        groups: Dict[str, List[_Request]] = {}
-        for request in batch:
-            groups.setdefault(request.model, []).append(request)
+        groups = _by_model(batch)
         with trace(
             "serve.batch", n=len(batch), models=len(groups), metric_labels={}
         ):
@@ -588,37 +597,20 @@ class InferenceServer:
     def _run_group(self, group: Tuple[str, List[_Request]]) -> None:
         model_ref, requests = group
         now = time.perf_counter()
-        live: List[_Request] = []
-        for request in requests:
-            if now >= request.deadline:
-                metrics().count("serve.timeouts", model=model_ref)
-                self._answer(
-                    request,
-                    ServeResult(
-                        request_id=request.request_id,
-                        status="timeout",
-                        model=model_ref,
-                        error="deadline exceeded while queued",
-                    ),
-                )
-            else:
-                live.append(request)
+        live = [r for r in requests if now < r.deadline]
+        if len(live) < len(requests):
+            expired = [r for r in requests if now >= r.deadline]
+            metrics().count("serve.timeouts", value=len(expired), model=model_ref)
+            self._answer(
+                model_ref, expired, "timeout", "deadline exceeded while queued"
+            )
         if not live:
             return
         try:
             bundle = self.registry.get(model_ref)
         except Exception as exc:  # noqa: BLE001 - unknown/corrupt bundle
             metrics().count("serve.errors", model=model_ref, reason="bundle")
-            for request in live:
-                self._answer(
-                    request,
-                    ServeResult(
-                        request_id=request.request_id,
-                        status="error",
-                        model=model_ref,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                )
+            self._answer(model_ref, live, "error", f"{type(exc).__name__}: {exc}")
             return
         rows, prepared = self._prepare_rows(live, bundle, model_ref)
         if not prepared:
@@ -628,29 +620,21 @@ class InferenceServer:
             "serve.predict", model=model_ref, n=len(prepared),
             metric_labels={"model": model_ref},
         ):
-            outcomes = self._predict_group(bundle, X, model_ref)
-        self._shadow_compare(model_ref, bundle, X, outcomes)
-        labels = bundle.labels
-        for request, outcome in zip(prepared, outcomes):
-            proba, used, error = outcome
-            if error is not None:
-                metrics().count("serve.errors", model=model_ref, reason="model")
-                result = ServeResult(
-                    request_id=request.request_id,
-                    status="error",
-                    model=model_ref,
-                    error=error,
+            proba, used, errors = self._predict_group(bundle, X, model_ref)
+        self._shadow_compare(model_ref, bundle, X, proba, errors)
+        if errors is not None:
+            failed = [j for j, error in enumerate(errors) if error is not None]
+            if failed:
+                metrics().count(
+                    "serve.errors", value=len(failed), model=model_ref, reason="model"
                 )
-            else:
-                result = ServeResult(
-                    request_id=request.request_id,
-                    status="ok",
-                    model=model_ref,
-                    label=str(labels[int(np.argmax(proba))]),
-                    proba=proba,
-                    used=used,
-                )
-            self._answer(request, result)
+            self._answer(
+                model_ref, [prepared[j] for j in failed], "error",
+                [errors[j] for j in failed],
+            )
+            kept = [j for j, error in enumerate(errors) if error is None]
+            prepared, proba, used = [prepared[j] for j in kept], proba[kept], [used[j] for j in kept]
+        self._answer(model_ref, prepared, "ok", proba=proba, used=used, labels=bundle.labels)
 
     def _prepare_rows(
         self, live: List[_Request], bundle, model_ref: str
@@ -700,54 +684,49 @@ class InferenceServer:
 
     def _reject_input(self, request: _Request, model_ref: str, error: str) -> None:
         metrics().count("serve.errors", model=model_ref, reason="input")
-        self._answer(
-            request,
-            ServeResult(
-                request_id=request.request_id, status="error", model=model_ref, error=error
-            ),
-        )
+        self._answer(model_ref, [request], "error", error)
 
     def _predict_group(
         self, bundle, X: np.ndarray, model_ref: str
-    ) -> List[Tuple[Optional[np.ndarray], Optional[str], Optional[str]]]:
-        """Per-row ``(proba, used, error)`` outcomes for one model group.
+    ) -> Tuple[np.ndarray, List[Optional[str]], Optional[List[Optional[str]]]]:
+        """``(proba, used, errors)`` for one model group's rows.
 
         Tries the bundle's predictors in degrade order on the whole
-        batch; if every predictor faults batch-wise, falls back to
-        row-by-row isolation so only the poison rows carry error values.
+        batch; ``errors`` is None when one of them answered every row.
+        If every predictor faults batch-wise, falls back to row-by-row
+        isolation so only the poison rows carry an error (their
+        ``proba`` rows are zeros and their ``used`` entries None).
         """
+        n = X.shape[0]
         roles = bundle.predictors()
         for i, (role, _) in enumerate(roles):
             try:
                 proba = bundle.predict_proba_with(role, X)
                 if i > 0:
                     metrics().count(
-                        "serve.fallbacks", model=model_ref, to=role,
-                        value=X.shape[0],
+                        "serve.fallbacks", model=model_ref, to=role, value=n,
                     )
-                return [(proba[j], role, None) for j in range(X.shape[0])]
+                return proba, [role] * n, None
             except Exception:  # noqa: BLE001 - degrade to the next predictor
                 if i + 1 < len(roles):
                     metrics().count("serve.degrades", model=model_ref)
                 continue
         # Batch-wise everything faulted: isolate per row.
         metrics().count("serve.row_isolation", model=model_ref)
-        outcomes: List[Tuple[Optional[np.ndarray], Optional[str], Optional[str]]] = []
-        for j in range(X.shape[0]):
-            row = X[j : j + 1]
-            answer: Tuple[Optional[np.ndarray], Optional[str], Optional[str]]
-            answer = (None, None, "no predictor available")
+        proba = np.zeros((n, len(bundle.labels)))
+        used: List[Optional[str]] = [None] * n
+        errors: List[Optional[str]] = ["no predictor available"] * n
+        for j in range(n):
             for role, _ in roles:
                 try:
-                    proba = bundle.predict_proba_with(role, row)
-                    answer = (proba[0], role, None)
+                    proba[j] = bundle.predict_proba_with(role, X[j : j + 1])[0]
+                    used[j], errors[j] = role, None
                     break
                 except Exception as exc:  # noqa: BLE001
-                    answer = (None, None, f"{type(exc).__name__}: {exc}")
-            outcomes.append(answer)
-        return outcomes
+                    errors[j] = f"{type(exc).__name__}: {exc}"
+        return proba, used, errors
 
-    def _shadow_compare(self, model_ref: str, bundle, X, outcomes) -> None:
+    def _shadow_compare(self, model_ref: str, bundle, X, proba, errors) -> None:
         """Shadow-mode canary: predict with the candidate, count agreement.
 
         Runs inline on the group's rows (shadowing deliberately pays the
@@ -770,14 +749,17 @@ class InferenceServer:
         except Exception:  # noqa: BLE001 - shadow must never hurt serving
             metrics().count("serve.shadow.errors", model=candidate_ref)
             return
-        cand_labels = candidate.labels
-        for j, (proba, _used, error) in enumerate(outcomes):
-            if error is not None or proba is None:
-                continue
-            primary = str(bundle.labels[int(np.argmax(proba))])
-            shadow = str(cand_labels[int(np.argmax(cand_proba[j]))])
-            outcome = "agree" if primary == shadow else "disagree"
-            metrics().count(f"serve.shadow.{outcome}", model=candidate_ref)
+        primary = bundle.labels[np.argmax(proba, axis=1)].astype(str)
+        agree = primary == candidate.labels[np.argmax(cand_proba, axis=1)].astype(str)
+        answered = (
+            np.ones(agree.shape, dtype=bool) if errors is None
+            else np.array([error is None for error in errors])
+        )
+        for outcome, mask in (("agree", agree & answered), ("disagree", ~agree & answered)):
+            if mask.any():
+                metrics().count(
+                    f"serve.shadow.{outcome}", value=int(mask.sum()), model=candidate_ref
+                )
 
     # -- resolution ---------------------------------------------------------
     def _version_label(self, ref: str) -> str:
@@ -796,34 +778,75 @@ class InferenceServer:
             return ref
         return f"{name}@{version}"
 
-    def _answer(self, request: _Request, result: ServeResult) -> None:
-        latency = time.perf_counter() - request.enqueued
-        result = ServeResult(
-            request_id=result.request_id,
-            status=result.status,
-            model=result.model,
-            label=result.label,
-            proba=result.proba,
-            used=result.used,
-            error=result.error,
-            latency_s=latency,
-        )
-        request.future._resolve(result)
+    def _answer(
+        self,
+        model_ref: str,
+        requests: Sequence[_Request],
+        status: str,
+        errors: Union[str, Sequence[str]] = (),
+        *,
+        proba: Optional[np.ndarray] = None,
+        used: Sequence[Optional[str]] = (),
+        labels: Optional[np.ndarray] = None,
+    ) -> None:
+        """Answer ``requests`` of one model group with one ``status``.
+
+        The single answer path of the server. ``ok`` answers take their
+        rows of ``proba``, their ``used`` predictors and one argmax over
+        the whole matrix against ``labels``; failures take ``errors``
+        (one message for all, or one per request). The group is
+        accounted in one pass — one clock read, one ``requests_answered``
+        bump, one ``serve.responses`` and ``serve.version.responses``
+        count, one ``serve.request`` timer update holding each
+        request's latency — before any future resolves, so a caller
+        woken by its answer already sees it counted.
+        """
+        n = len(requests)
+        if not n:
+            return
+        now = time.perf_counter()
+        latencies = [now - request.enqueued for request in requests]
+        if status == "ok":
+            assert proba is not None and labels is not None and len(used) == n
+            names = labels[np.argmax(proba, axis=1)].tolist()
+            results = [
+                ServeResult(
+                    request_id=request.request_id, status=status, model=model_ref,
+                    label=str(name), proba=row, used=role, latency_s=latency,
+                )
+                for request, name, row, role, latency
+                in zip(requests, names, proba, used, latencies)
+            ]
+        else:
+            if isinstance(errors, str):
+                errors = [errors] * n
+            assert len(errors) == n
+            results = [
+                ServeResult(
+                    request_id=request.request_id, status=status, model=model_ref,
+                    error=error, latency_s=latency,
+                )
+                for request, error, latency in zip(requests, errors, latencies)
+            ]
         with self._state_lock:
-            self.requests_answered += 1
-        tracer().record(
-            "serve.request",
-            latency,
-            metric_labels={"status": result.status, "model": result.model},
-            request_id=request.request_id,
-            status=result.status,
+            self.requests_answered += n
+        registry = metrics()
+        registry.observe_many("serve.request", latencies, status=status, model=model_ref)
+        registry.count("serve.responses", value=n, status=status)
+        registry.count(
+            "serve.version.responses", value=n,
+            model=self._version_label(model_ref), status=status,
         )
-        metrics().count("serve.responses", status=result.status)
-        metrics().count(
-            "serve.version.responses",
-            model=self._version_label(result.model),
-            status=result.status,
-        )
+        for request, result in zip(requests, results):
+            request.future._resolve(result)
+
+
+def _by_model(requests: Sequence[_Request]) -> Dict[str, List[_Request]]:
+    """Requests grouped by model ref, each group in arrival order."""
+    groups: Dict[str, List[_Request]] = {}
+    for request in requests:
+        groups.setdefault(request.model, []).append(request)
+    return groups
 
 
 def serve_burst(

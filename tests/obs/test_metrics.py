@@ -49,6 +49,42 @@ class TestInstruments:
         assert merged.count == 2
         assert merged.total_s == pytest.approx(3.0)
 
+    def test_timer_quantiles_from_fixed_buckets(self):
+        stat = TimerStat()
+        assert stat.quantile(0.5) == 0.0  # nothing observed yet
+        for ms in range(1, 101):
+            stat.observe(ms / 1e3)
+        assert stat.quantile(0.5) == pytest.approx(0.050, rel=0.05)
+        assert stat.quantile(0.99) == pytest.approx(0.099, rel=0.05)
+        assert stat.quantile(1.0) <= stat.max_s == pytest.approx(0.1)
+        assert sum(stat.buckets) == stat.count == 100
+        with pytest.raises(ValueError):
+            stat.quantile(1.5)
+
+    def test_overflow_bucket_reads_the_max(self):
+        stat = TimerStat()
+        stat.observe(1e9)
+        assert stat.quantile(1.0) == 1e9
+
+    def test_timer_memory_is_fixed(self):
+        stat = TimerStat()
+        size = len(stat.buckets)
+        for value in (0.0, 1e-9, float("nan"), 1e-3, 1.0, 1e9):
+            stat.observe(value)
+        assert len(stat.buckets) == size
+        assert stat.buckets[0] == 3  # below the lowest edge: zero and NaN too
+        assert stat.buckets[-1] == 1  # beyond the highest edge
+        stat.observe(float("inf"))
+        assert stat.buckets[-1] == 2
+        assert sum(stat.buckets) == stat.count == 7
+
+    def test_observe_many_matches_observe(self):
+        one, many = MetricsRegistry(), MetricsRegistry()
+        for value in (0.25, 0.5, 2.0):
+            one.observe("stage", value, status="ok")
+        many.observe_many("stage", [0.25, 0.5, 2.0], status="ok")
+        assert one.snapshot() == many.snapshot()
+
     def test_metric_key_canonicalises_label_order(self):
         assert metric_key("m", {"a": 1, "b": 2}) == metric_key("m", {"b": 2, "a": 1})
 

@@ -7,12 +7,15 @@ Values are generated as integer-valued floats so additions are exact
 and the algebraic laws can be asserted with ``==``.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attack.engine import _COUNTER_FIELDS, _TIMER_FIELDS, CollectionStats
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, TimerStat, Tracer
+from repro.obs.metrics import HIST_RATIO
 
 # -- registry generation ----------------------------------------------------
 
@@ -65,6 +68,69 @@ class TestMergeMonoid:
             assert stat.count >= 0
             assert stat.max_s >= 0
             assert stat.total_s >= stat.max_s
+
+
+    @given(registries, registries)
+    @settings(max_examples=50, deadline=None)
+    def test_histogram_buckets_add_under_merge(self, a, b):
+        merged = a.copy().merge(b).snapshot()["timers"]
+        left, right = a.snapshot()["timers"], b.snapshot()["timers"]
+        for key, stat in merged.items():
+            empty = TimerStat()
+            expected = [
+                x + y
+                for x, y in zip(left.get(key, empty).buckets, right.get(key, empty).buckets)
+            ]
+            assert stat.buckets == expected
+            assert sum(stat.buckets) == stat.count
+
+
+# -- timer histogram quantiles ----------------------------------------------
+
+_LATENCIES = st.lists(
+    st.floats(min_value=1e-6, max_value=1e5, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=200,
+)
+_QUANTILES = st.sampled_from([0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0])
+
+
+class TestTimerQuantiles:
+    @given(_LATENCIES, _QUANTILES)
+    @settings(max_examples=100, deadline=None)
+    def test_relative_error_bounded_by_bucket_ratio(self, values, q):
+        stat = TimerStat()
+        for value in values:
+            stat.observe(value)
+        exact = sorted(values)[max(1, math.ceil(q * len(values))) - 1]
+        estimate = stat.quantile(q)
+        assert exact / HIST_RATIO <= estimate * (1 + 1e-9)
+        assert estimate <= exact * HIST_RATIO * (1 + 1e-9)
+        assert estimate <= stat.max_s
+
+    @given(_LATENCIES, _LATENCIES, _QUANTILES)
+    @settings(max_examples=50, deadline=None)
+    def test_merged_quantile_equals_pooled_quantile(self, a, b, q):
+        """Merging two timers reads exactly like one timer fed both streams."""
+        left, right, pooled = TimerStat(), TimerStat(), TimerStat()
+        for value in a:
+            left.observe(value)
+            pooled.observe(value)
+        for value in b:
+            right.observe(value)
+            pooled.observe(value)
+        left.merge(right)
+        assert left.buckets == pooled.buckets
+        assert left.quantile(q) == pooled.quantile(q)
+
+    @given(_LATENCIES)
+    @settings(max_examples=50, deadline=None)
+    def test_quantiles_are_monotone(self, values):
+        stat = TimerStat()
+        for value in values:
+            stat.observe(value)
+        reads = [stat.quantile(q) for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0)]
+        assert reads == sorted(reads)
 
 
 class TestSpanTimerBounds:

@@ -5,13 +5,15 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.obs import metrics, reset_observability
+from repro.obs import metrics, reset_observability, tracer
+from repro.parallel import ExecutorPool
 from repro.serve import (
     AsyncFrontendClient,
     FrontendClient,
@@ -264,6 +266,142 @@ class TestLoadShedding:
         assert by_tenant == {"alice": 3.0, "bob": 2.0}
         answered = metrics().counter_group("frontend.responses", "tenant")
         assert answered == {"alice": 3.0, "bob": 2.0}
+
+
+class TestBatchedResolution:
+    """Answers leave in batches: one drain and one write per connection."""
+
+    def test_frames_identical_and_in_resolution_order(self, served):
+        """A pipelined burst on one connection comes back in submission
+        order (one tenant, one model: dispatch and resolution follow
+        arrival), each frame exactly ``encode_message`` of its dict."""
+        _, frontend = served
+        X, _ = make_blobs(n_per_class=20, seed=5)
+        n = len(X)
+        request = b"".join(
+            encode_message(
+                {"op": "predict", "id": i, "tenant": "t", "payload": [float(v) for v in row]}
+            )
+            for i, row in enumerate(X)
+        )
+        raw = bytearray()
+        frames = []
+        with socket.create_connection(("127.0.0.1", frontend.port), timeout=30) as sock:
+            sock.sendall(request)
+            while len(frames) < n:
+                data = sock.recv(65536)
+                assert data, "server closed the connection early"
+                raw.extend(data)
+                while len(raw) >= 4:
+                    (length,) = struct.unpack("!I", raw[:4])
+                    if len(raw) < 4 + length:
+                        break
+                    frames.append(bytes(raw[: 4 + length]))
+                    del raw[: 4 + length]
+        messages = [FrameDecoder().feed(frame)[0][0] for frame in frames]
+        assert [m["id"] for m in messages] == list(range(n))
+        assert all(m["status"] == "ok" for m in messages)
+        for frame, message in zip(frames, messages):
+            assert encode_message(message) == frame
+
+    def test_thousands_of_requests_retain_almost_no_spans(self, clf_registry):
+        """Per-request records are timer observations, not retained
+        spans: only the per-batch spans stay in the tracer."""
+        reset_observability()
+        n = 2400
+        X, _ = make_blobs(n_per_class=20, seed=6)
+        with InferenceServer(
+            clf_registry, model="blobs-clf", max_batch=32, max_linger_s=0.005,
+            max_queue=1024,
+        ) as server:
+            with ServingFrontend(
+                server,
+                default_tenant=TenantConfig("default", burst=1e6, max_backlog=4096),
+            ) as frontend:
+
+                async def burst():
+                    client = await AsyncFrontendClient(
+                        "127.0.0.1", frontend.port, tenant="t"
+                    ).connect()
+                    try:
+                        futures = [client.submit(X[i % len(X)]) for i in range(n)]
+                        return await asyncio.gather(*futures)
+                    finally:
+                        await client.close()
+
+                responses = run_async(burst())
+        assert [r["status"] for r in responses] == ["ok"] * n
+        spans = list(tracer().spans())
+        assert len(spans) / n <= 0.2, f"{len(spans)} spans retained for {n} requests"
+        assert {s.name for s in spans} <= {"serve.batch", "serve.predict"}
+        reg = metrics()
+        assert reg.counter_value("frontend.requests", tenant="t", lane="realtime") == n
+        assert reg.counter_value("frontend.responses", tenant="t", status="ok") == n
+        assert reg.timer("frontend.request", tenant="t", lane="realtime", status="ok").count == n
+        assert reg.timer_total("frontend.request").count == n
+        assert reg.timer("serve.request", status="ok", model="blobs-clf").count == n
+        assert reg.counter_value("serve.responses", status="ok") == n
+        assert reg.counter_total("serve.version.responses") == n
+        assert reg.gauge_value("frontend.backlog") >= 1
+        assert 1 <= reg.gauge_value("frontend.inflight") <= frontend.max_inflight
+
+
+    def test_concurrent_resolvers_lose_no_answer(
+        self, packed_bundle, packed_classifier_bundle
+    ):
+        """Group threads of a thread pool hand resolutions over at once,
+        with the interpreter switching threads as often as it can: every
+        request is answered exactly once and the inflight books close."""
+        reset_observability()
+        registry = ModelRegistry()
+        registry.register(packed_bundle)
+        registry.register(packed_classifier_bundle)
+        n = 600
+        X, _ = make_blobs(n_per_class=20, seed=7)
+        pool = ExecutorPool(n_jobs=4, executor="thread")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InferenceServer(
+                registry, model="blobs", max_batch=32, max_linger_s=0.002,
+                max_queue=1024, pool=pool,
+            ) as server:
+                with ServingFrontend(
+                    server,
+                    default_tenant=TenantConfig("default", burst=1e6, max_backlog=4096),
+                ) as frontend:
+
+                    async def burst():
+                        clients = [
+                            await AsyncFrontendClient(
+                                "127.0.0.1", frontend.port, tenant=f"t{k}"
+                            ).connect()
+                            for k in range(3)
+                        ]
+                        try:
+                            futures = [
+                                clients[i % 3].submit(
+                                    X[i % len(X)], model=("blobs", "blobs-clf")[i % 2]
+                                )
+                                for i in range(n)
+                            ]
+                            return await asyncio.wait_for(asyncio.gather(*futures), 60)
+                        finally:
+                            for client in clients:
+                                await client.close()
+
+                    responses = run_async(burst())
+                    inflight = frontend._inflight
+        finally:
+            sys.setswitchinterval(previous)
+            pool.close()
+        assert [r["status"] for r in responses] == ["ok"] * n
+        assert inflight == 0
+        assert frontend.answered == frontend.accepted == n
+        reg = metrics()
+        assert reg.counter_total("frontend.responses") == n
+        assert reg.timer_total("frontend.request").count == n
+        assert reg.timer_total("serve.request").count == n
 
 
 class TestDispatchLiveness:

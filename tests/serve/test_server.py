@@ -15,6 +15,8 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     InferenceServer,
     ServeError,
+    ServeFuture,
+    ServeResult,
     ServerOverloaded,
     ServerStopped,
     serve_burst,
@@ -317,8 +319,9 @@ class TestGracefulDegrade:
 
 class TestObservability:
     def test_traces_and_counters_balance(self, registry):
-        """Every request leaves exactly one serve.request span and one
-        serve.responses count; batch spans cover every request."""
+        """Every request leaves exactly one serve.request timer
+        observation and one serve.responses count; batch spans cover
+        every request."""
         reset_observability()
         X, _ = make_blobs(n_per_class=8, seed=4)
         rows = list(X)
@@ -330,23 +333,105 @@ class TestObservability:
             answered = server.requests_answered
         assert all(r.ok for r in results)
         assert accepted == answered == len(rows)
-        spans = tracer().find("serve.request")
-        assert len(spans) == len(rows)
-        assert {s.labels["status"] for s in spans} == {"ok"}
+        reg = metrics()
+        assert reg.timer("serve.request", status="ok", model="blobs").count == len(rows)
+        assert reg.timer_total("serve.request").count == len(rows)
         batch_spans = tracer().find("serve.batch")
         assert sum(s.labels["n"] for s in batch_spans) == len(rows)
-        reg = metrics()
         assert reg.counter_value("serve.responses", status="ok") == len(rows)
         assert reg.counter_total("serve.requests") == len(rows)
         assert reg.counter_total("serve.batches") == len(batch_spans)
-        assert reg.timer("serve.request", status="ok", model="blobs").count == len(rows)
 
     def test_failed_requests_balance_too(self, registry):
         reset_observability()
         with InferenceServer(registry, model="blobs") as server:
             server.submit_features(np.zeros(24), model="nope").result(10.0)
             server.submit_features(np.zeros(3)).result(10.0)
-        spans = tracer().find("serve.request")
-        assert len(spans) == 2
-        assert {s.labels["status"] for s in spans} == {"error"}
-        assert metrics().counter_value("serve.responses", status="error") == 2
+        reg = metrics()
+        assert reg.timer("serve.request", status="error", model="nope").count == 1
+        assert reg.timer("serve.request", status="error", model="blobs").count == 1
+        assert reg.timer_total("serve.request").count == 2
+        assert reg.counter_value("serve.responses", status="error") == 2
+
+    def test_error_latency_filed_under_its_status(self, registry):
+        """An unknown model's answer is timed under status="error", not "ok"."""
+        reset_observability()
+        with InferenceServer(registry, model="blobs") as server:
+            result = server.submit_features(np.zeros(24), model="nope").result(10.0)
+        assert result.status == "error"
+        reg = metrics()
+        assert reg.timer("serve.request", status="error", model="nope").count == 1
+        assert reg.timer("serve.request", status="ok", model="nope").count == 0
+        assert reg.counter_value(
+            "serve.version.responses", model="nope", status="error"
+        ) == 1
+
+
+def _result(request_id: int) -> ServeResult:
+    return ServeResult(request_id=request_id, status="ok", model="m", label="a")
+
+
+class TestServeFuture:
+    def test_result_after_resolution_needs_no_event(self):
+        future = ServeFuture(1)
+        assert not future.done()
+        result = _result(1)
+        future._resolve(result)
+        assert future.done()
+        assert future.result() is result
+        assert future.result(timeout=0.0) is result
+        assert future._event is None  # nobody ever blocked
+
+    def test_result_before_resolution_blocks_until_answered(self):
+        future = ServeFuture(2)
+        result = _result(2)
+        timer = threading.Timer(0.05, future._resolve, args=(result,))
+        timer.start()
+        try:
+            assert future.result(timeout=10.0) is result
+        finally:
+            timer.join()
+        assert future.done()
+
+    def test_wait_timeout_raises_and_a_later_answer_still_lands(self):
+        future = ServeFuture(3)
+        with pytest.raises(ServeError, match="not answered within"):
+            future.result(timeout=0.01)
+        result = _result(3)
+        future._resolve(result)
+        assert future.result(timeout=0.0) is result
+
+    def test_callbacks_fire_exactly_once(self):
+        future = ServeFuture(4)
+        seen = []
+        future.add_done_callback(seen.append)
+        future.add_done_callback(seen.append)
+        result = _result(4)
+        future._resolve(result)
+        assert seen == [result, result]
+        future.add_done_callback(seen.append)  # already done: runs at once
+        assert seen == [result, result, result]
+        with pytest.raises(AssertionError, match="resolved twice"):
+            future._resolve(_result(4))
+        assert len(seen) == 3
+
+    def test_resolve_racing_the_first_result_call(self):
+        """Resolution and the first blocking result() race from two
+        threads; the waiter must never miss the answer."""
+        for i in range(300):
+            future = ServeFuture(i)
+            result = _result(i)
+            start = threading.Barrier(2)
+            got = []
+
+            def wait():
+                start.wait()
+                got.append(future.result(timeout=10.0))
+
+            waiter = threading.Thread(target=wait)
+            waiter.start()
+            start.wait()
+            future._resolve(result)
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+            assert got == [result]

@@ -111,8 +111,11 @@ class TestHammer:
             elif kind == "clf":
                 assert r.model == "blobs-clf"
         # The books balance across every thread and batch.
-        spans = tracer().find("serve.request")
-        assert len(spans) == n_submitted
+        assert metrics().timer_total("serve.request").count == n_submitted
+        assert sum(
+            metrics().timer("serve.request", status="ok", model=model).count
+            for model in ("blobs", "blobs-clf")
+        ) == n_submitted
         assert metrics().counter_value(
             "serve.responses", status="ok"
         ) == n_submitted
