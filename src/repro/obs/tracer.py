@@ -146,15 +146,13 @@ class Tracer:
         name: str,
         duration_s: float,
         metric_labels: Optional[Dict[str, Any]] = None,
-        status: str = "ok",
         **labels,
     ) -> Span:
         """Register an externally timed, already-finished span.
 
         Attached under the innermost open span of the calling thread —
         the hook for callers that measure a stage themselves (e.g. the
-        per-epoch training callback). ``status`` is the span's own
-        status, so its timer observation is filed under the same one.
+        per-epoch training callback).
         """
         parent = self.current()
         span = Span(
@@ -164,7 +162,6 @@ class Tracer:
             parent_id=parent.span_id if parent else None,
             start_wall=time.time() - float(duration_s),
             duration_s=float(duration_s),
-            status=str(status),
         )
         self._attach(span, parent)
         self._observe(span, metric_labels)

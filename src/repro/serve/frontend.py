@@ -190,7 +190,9 @@ class ServingFrontend:
         self._resolved: Deque[Tuple[_PendingRequest, ServeResult]] = deque()
         self._resolved_lock = threading.Lock()
         self._drain_scheduled = False
-        self._completions: Deque[float] = deque(maxlen=128)
+        #: One ``(stamp, answers)`` entry per resolution drain, for
+        #: :meth:`_service_rate`.
+        self._completions: Deque[Tuple[float, int]] = deque(maxlen=128)
         self.accepted = 0
         self.answered = 0
         self.shed = 0
@@ -314,10 +316,14 @@ class ServingFrontend:
                     conn.send({"op": "error", "error": str(exc)})
                     break
                 admitted: Dict[Tuple[str, str], int] = {}
-                for message, tensor in messages:
-                    self._handle_message(conn, message, tensor, admitted)
-                if admitted:
-                    self._account_intake(admitted)
+                try:
+                    for message, tensor in messages:
+                        self._handle_message(conn, message, tensor, admitted)
+                finally:
+                    # Admitted requests are queued even if a later
+                    # message in the chunk raised: count them anyway.
+                    if admitted:
+                        self._account_intake(admitted)
         finally:
             conn.closed = True
             self._connections.discard(conn)
@@ -384,9 +390,6 @@ class ServingFrontend:
         if decision is not None:
             self.shed += 1
             metrics().count("frontend.shed", tenant=tenant, reason=decision.reason)
-            metrics().observe(
-                "frontend.shed", 0.0, tenant=tenant, reason=decision.reason, status="ok"
-            )
             conn.send(
                 {
                     "op": "shed",
@@ -648,7 +651,7 @@ class ServingFrontend:
         now = time.perf_counter()
         self._inflight -= len(resolved)
         self.answered += len(resolved)
-        self._completions.extend(itertools.repeat(now, len(resolved)))
+        self._completions.append((now, len(resolved)))
         latencies: Dict[Tuple[str, str, str], List[float]] = {}
         outgoing: Dict[_Connection, List[Tuple[str, bytes]]] = {}
         for pending, result in resolved:
@@ -707,13 +710,19 @@ class ServingFrontend:
         )
 
     def _service_rate(self) -> float:
-        """Recent completion rate (req/s) for retry-after pricing."""
+        """Recent completion rate (req/s) for retry-after pricing.
+
+        Answers after the oldest kept drain over the time since it: a
+        drain's answers share one stamp, so the first drain only opens
+        the window.
+        """
         if len(self._completions) < 2:
             return 0.0
-        span = self._completions[-1] - self._completions[0]
+        span = self._completions[-1][0] - self._completions[0][0]
         if span <= 0:
             return 0.0
-        return (len(self._completions) - 1) / span
+        answers = sum(n for _, n in itertools.islice(self._completions, 1, None))
+        return answers / span
 
 
 def _result_message(

@@ -837,8 +837,19 @@ class InferenceServer:
             "serve.version.responses", value=n,
             model=self._version_label(model_ref), status=status,
         )
+        # Every future resolves even if one raises (a second resolution
+        # or a raising done-callback): the group is already counted, so a
+        # request left unresolved would be answered and counted again by
+        # the batch-failure path. The first error is re-raised after.
+        failure: Optional[BaseException] = None
         for request, result in zip(requests, results):
-            request.future._resolve(result)
+            try:
+                request.future._resolve(result)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
 
 
 def _by_model(requests: Sequence[_Request]) -> Dict[str, List[_Request]]:

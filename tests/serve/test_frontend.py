@@ -22,7 +22,9 @@ from repro.serve import (
     ServingFrontend,
     TenantConfig,
 )
+from repro.serve.frontend import _Connection, _PendingRequest
 from repro.serve.protocol import FrameDecoder, encode_message
+from repro.serve.server import ServeResult
 
 from tests.serve.conftest import make_blobs
 
@@ -164,6 +166,39 @@ class TestBadRequests:
             )
         assert response["status"] == "error"
         assert "lane" in response["error"]
+
+    def test_chunk_admissions_counted_when_a_later_message_raises(self, served):
+        """A predict admitted earlier in a received chunk is counted even
+        if a later message in the same chunk raises unexpectedly."""
+        reset_observability()
+        server, frontend = served
+
+        class ExplodingGate:
+            def score(self, **kwargs):
+                raise RuntimeError("gate bug")
+
+        X, _ = make_blobs(n_per_class=1)
+        chunk = encode_message(
+            {"op": "predict", "id": 1, "tenant": "t", "payload": [float(v) for v in X[0]]}
+        ) + encode_message(
+            {"op": "gate", "id": 2, "config": {
+                "rate_cap_hz": 1.0, "lowpass_hz": 1.0, "noise_rms": 0.0, "quant_lsb": 0.0,
+            }}
+        )
+        previous, server.gate = server.gate, ExplodingGate()
+        try:
+            with socket.create_connection(("127.0.0.1", frontend.port), timeout=10) as sock:
+                sock.sendall(chunk)
+                sock.settimeout(10.0)
+                while sock.recv(65536):  # the handler dies; the server closes
+                    pass
+            deadline = time.monotonic() + 10.0
+            while frontend.answered < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            server.gate = previous
+        assert frontend.accepted == frontend.answered == 1
+        assert metrics().counter_value("frontend.requests", tenant="t", lane="realtime") == 1
 
 
 class TestConnectionIsolation:
@@ -402,6 +437,41 @@ class TestBatchedResolution:
         assert reg.counter_total("frontend.responses") == n
         assert reg.timer_total("frontend.request").count == n
         assert reg.timer_total("serve.request").count == n
+
+    def test_service_rate_survives_one_large_drain(self, clf_registry):
+        """A drain of more answers than the rate window holds still
+        prices retry hints: its answers over the time since the last
+        drain."""
+        server = InferenceServer(clf_registry, model="blobs-clf")
+        frontend = ServingFrontend(server)
+        frontend._wake = asyncio.Event()
+
+        class _Sink:
+            def write(self, data):
+                pass
+
+        conn = _Connection(_Sink())
+
+        def drain(n):
+            for i in range(n):
+                pending = _PendingRequest(
+                    conn=conn, msg_id=i, tenant="t", lane="realtime",
+                    kind="features", payload=np.zeros(24), fs=None,
+                    model=None, timeout_s=None,
+                )
+                frontend._inflight += 1
+                frontend._resolved.append(
+                    (pending, ServeResult(request_id=i, status="error", model="m", error="x"))
+                )
+            frontend._drain_resolved()
+
+        drain(10)
+        time.sleep(0.01)
+        drain(200)
+        (first, _), (last, _) = frontend._completions
+        assert frontend._service_rate() == pytest.approx(200 / (last - first))
+        assert frontend._service_rate() > 0
+        assert frontend._inflight == 0 and frontend.answered == 210
 
 
 class TestDispatchLiveness:

@@ -366,6 +366,31 @@ class TestObservability:
             "serve.version.responses", model="nope", status="error"
         ) == 1
 
+    def test_raising_done_callback_still_balances_the_books(self, clf_registry):
+        """A done-callback that raises mid-group neither strands its
+        group-mates nor gets them answered (and counted) a second time."""
+        reset_observability()
+        X, _ = make_blobs(n_per_class=2, seed=9)
+        rows = list(X[:4])
+
+        def explode(result):
+            raise RuntimeError("callback bug")
+
+        with InferenceServer(
+            clf_registry, model="blobs-clf", max_batch=8, max_linger_s=0.2
+        ) as server:
+            futures = [server.submit_features(row) for row in rows]
+            futures[1].add_done_callback(explode)
+            results = [f.result(10.0) for f in futures]
+            answered = server.requests_answered
+        assert [r.status for r in results] == ["ok"] * len(rows)
+        assert answered == len(rows)
+        reg = metrics()
+        assert reg.counter_value("serve.responses", status="ok") == len(rows)
+        assert reg.counter_total("serve.responses") == len(rows)
+        assert reg.counter_total("serve.version.responses") == len(rows)
+        assert reg.timer_total("serve.request").count == len(rows)
+
 
 def _result(request_id: int) -> ServeResult:
     return ServeResult(request_id=request_id, status="ok", model="m", label="a")
