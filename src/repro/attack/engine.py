@@ -54,7 +54,7 @@ from repro.attack.specimages import region_spectrogram_images_batch
 from repro.batch import batch_dtype
 from repro.datasets import base as datasets_base
 from repro.datasets.base import Corpus, UtteranceSpec, resolve_task
-from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase
+from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase_batch
 from repro.memo import ByteBudgetMemo
 from repro.obs import (
     MetricsRegistry,
@@ -298,8 +298,15 @@ class _PassConfig:
 
 
 def _item_rng(seed: int, index: int) -> np.random.Generator:
-    """The work item's own RNG: identical at any worker count."""
-    return np.random.default_rng([0x454D4F, seed & 0xFFFFFFFF, index])
+    """The work item's own RNG: identical at any worker count.
+
+    The stream of ``np.random.default_rng([0x454D4F, seed & 0xFFFFFFFF,
+    index])``: a list of words below 2**32 seeds ``SeedSequence`` with
+    exactly this uint32 entropy array, and passing the array skips the
+    list's per-element coercion, most of the cost of a call.
+    """
+    entropy = np.array([0x454D4F, seed & 0xFFFFFFFF, index], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _detect_chunk(
@@ -357,16 +364,18 @@ def _detect_chunk(
         else:
             regions_list = [detector.detect(signal, fs) for signal in signals]
 
-    bests = [
-        max(
-            regions,
-            key=lambda r: float(np.sum((r.slice(signal) - np.mean(r.slice(signal))) ** 2)),
-        )
-        if regions
-        else None
-        for signal, regions in zip(signals, regions_list)
-    ]
+    bests = [_loudest(signal, regions) for signal, regions in zip(signals, regions_list)]
     return signals, bests, sum(len(regions) for regions in regions_list)
+
+
+def _loudest(signal: np.ndarray, regions: Sequence[Region]) -> Optional[Region]:
+    """The region of ``signal`` with the most AC energy (None if there is none)."""
+    if len(regions) < 2:
+        return regions[0] if regions else None
+    return max(
+        regions,
+        key=lambda r: float(np.sum((r.slice(signal) - np.mean(r.slice(signal))) ** 2)),
+    )
 
 
 def _products(
@@ -383,11 +392,15 @@ def _products(
         samples = region.slice(signal)
         if samples.size < 4:
             continue
-        if config.feature_highpass_hz is not None and samples.size > 32:
-            sos = cached_butter_highpass(config.feature_highpass_hz, fs, order=4)
-            samples = sosfilt_zero_phase(sos, samples)
         feat_rows.append(samples)
         feat_pos.append(k)
+    if config.feature_highpass_hz is not None:
+        long_rows = [j for j, samples in enumerate(feat_rows) if samples.size > 32]
+        if long_rows:
+            sos = cached_butter_highpass(config.feature_highpass_hz, fs, order=4)
+            filtered = sosfilt_zero_phase_batch(sos, [feat_rows[j] for j in long_rows])
+            for j, samples in zip(long_rows, filtered):
+                feat_rows[j] = samples
     features: List[Optional[np.ndarray]] = [None] * len(regions)
     if feat_rows:
         matrix = extract_features_batch(feat_rows, fs, dtype=config.dtype)

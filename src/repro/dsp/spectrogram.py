@@ -1,9 +1,11 @@
 """Spectrogram computation and spectrogram-image preparation.
 
 The paper's CNN image classifier consumes 32x32 spectrogram images of each
-detected speech region (Section IV-C1). :func:`spectrogram_image` performs
-the full chain: STFT power, log compression, per-image normalisation and
-bilinear resize to the target resolution.
+detected speech region (Section IV-C1). :func:`spectrogram_image_batch`
+performs the full chain for a ragged list of regions: STFT power, log
+compression, bilinear resize to the target resolution and per-image
+normalisation, each stage one array operation per frame geometry.
+:func:`spectrogram_image` and :func:`resize_image` are its one-row cases.
 """
 
 from __future__ import annotations
@@ -46,9 +48,76 @@ def log_spectrogram(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-power spectrogram in dB, floored at ``floor_db``."""
     freqs, times, power = power_spectrogram(x, fs, frame_length, hop_length, window)
-    ref = power.max() if power.size and power.max() > 0 else 1.0
-    db = 10.0 * np.log10(np.maximum(power / ref, 10 ** (floor_db / 10.0)))
-    return freqs, times, db
+    return freqs, times, _decibels(power.T, [power.shape[1]], floor_db).T
+
+
+def _decibels(power: np.ndarray, counts: Sequence[int], floor_db: float = -120.0) -> np.ndarray:
+    """dB of every image in a stacked ``(frames, freqs)`` power matrix.
+
+    Image ``k`` is the next ``counts[k]`` rows. Each is compressed
+    against its own maximum (1.0 for an all-zero image) and floored at
+    ``floor_db``; the result keeps ``power``'s dtype.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    peak = np.maximum.reduceat(power.max(axis=1), np.cumsum(counts) - counts)
+    ref = np.where(peak > 0, peak, 1)
+    db = power / np.repeat(ref, counts)[:, None]
+    np.maximum(db, 10 ** (floor_db / 10.0), out=db)
+    np.log10(db, out=db)
+    db *= 10.0
+    return db
+
+
+def _axis_coords(n_out: int, n_in: np.ndarray) -> np.ndarray:
+    """``np.linspace(0.0, n - 1.0, n_out)`` for every ``n`` in ``n_in``."""
+    if n_out == 1:
+        return np.zeros((n_in.size, 1))
+    stop = n_in - 1.0
+    coords = np.arange(n_out, dtype=float) * (stop / (n_out - 1))[:, None]
+    coords[:, -1] = stop
+    return coords
+
+
+def _resize_stack(
+    frames: np.ndarray, counts: Sequence[int], out_shape: Tuple[int, int]
+) -> np.ndarray:
+    """Bilinear resize of every image in a stacked ``(frames, freqs)`` matrix.
+
+    Image ``k`` is the transpose of the next ``counts[k]`` rows of
+    ``frames``: the frequency axis (shared) by its own number of
+    frames. Returns ``(len(counts),) + out_shape`` in float64; each
+    image's column coordinates are its own, so image ``k`` comes out as
+    resizing it alone would.
+    """
+    rows_out, cols_out = out_shape
+    counts = np.asarray(counts, dtype=np.intp)
+    n_rows = frames.shape[1]
+    r = _axis_coords(rows_out, np.array([n_rows]))[0]
+    c = _axis_coords(cols_out, counts)
+    r0 = np.clip(np.floor(r).astype(int), 0, max(n_rows - 2, 0))
+    r1 = np.minimum(r0 + 1, n_rows - 1)
+    c0 = np.clip(np.floor(c).astype(int), 0, np.maximum(counts - 2, 0)[:, None])
+    c1 = np.minimum(c0 + 1, counts[:, None] - 1)
+    wr = r - r0
+    wc = (c - c0)[:, :, None]
+    # Separable: interpolate whole frames between each output column's
+    # two neighbours (frame j of image k is stacked row offsets[k] + j),
+    # then pick and blend each output row's two frequency bins; per
+    # output pixel that is the 2-D formula's own order of operations.
+    offsets = (np.cumsum(counts) - counts)[:, None]
+    cols = frames[offsets + c0] * (1 - wc) + frames[offsets + c1] * wc
+    out = cols[:, :, r0] * (1 - wr) + cols[:, :, r1] * wr
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
+
+
+def _normalise(images: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Scale each image to [0, 1]; a flat image becomes all zeros."""
+    lo = images.min(axis=(1, 2))[:, None, None]
+    span = images.max(axis=(1, 2))[:, None, None] - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (images - lo) / span
+    out[np.broadcast_to(span < 1e-12, out.shape)] = 0.0
+    return out.astype(dtype, copy=False)
 
 
 def resize_image(image: np.ndarray, out_shape: Tuple[int, int]) -> np.ndarray:
@@ -59,24 +128,7 @@ def resize_image(image: np.ndarray, out_shape: Tuple[int, int]) -> np.ndarray:
     rows_out, cols_out = out_shape
     if rows_out < 1 or cols_out < 1:
         raise ValueError(f"output shape must be positive, got {out_shape}")
-    rows_in, cols_in = image.shape
-
-    def _axis_coords(n_out: int, n_in: int) -> np.ndarray:
-        if n_out == 1:
-            return np.zeros(1)
-        return np.linspace(0.0, n_in - 1.0, n_out)
-
-    r = _axis_coords(rows_out, rows_in)
-    c = _axis_coords(cols_out, cols_in)
-    r0 = np.clip(np.floor(r).astype(int), 0, max(rows_in - 2, 0))
-    c0 = np.clip(np.floor(c).astype(int), 0, max(cols_in - 2, 0))
-    r1 = np.minimum(r0 + 1, rows_in - 1)
-    c1 = np.minimum(c0 + 1, cols_in - 1)
-    wr = (r - r0)[:, None]
-    wc = (c - c0)[None, :]
-    top = image[np.ix_(r0, c0)] * (1 - wc) + image[np.ix_(r0, c1)] * wc
-    bottom = image[np.ix_(r1, c0)] * (1 - wc) + image[np.ix_(r1, c1)] * wc
-    return top * (1 - wr) + bottom * wr
+    return _resize_stack(image.T, [image.shape[1]], out_shape)[0]
 
 
 def spectrogram_image(
@@ -92,15 +144,7 @@ def spectrogram_image(
     The image is scaled to [0, 1] per region, matching the per-image
     preprocessing applied before the paper's CNN (resized 32x32 inputs).
     """
-    x = np.asarray(x, dtype=float)
-    frame_length = min(frame_length, max(8, x.size))
-    hop_length = max(1, min(hop_length, frame_length // 2))
-    _, _, db = log_spectrogram(x, fs, frame_length, hop_length, window)
-    image = resize_image(db, (size, size))
-    lo, hi = image.min(), image.max()
-    if hi - lo < 1e-12:
-        return np.zeros((size, size))
-    return (image - lo) / (hi - lo)
+    return spectrogram_image_batch([x], fs, size, frame_length, hop_length, window)[0]
 
 
 def spectrogram_image_batch(
@@ -112,16 +156,18 @@ def spectrogram_image_batch(
     window: str = "hann",
     dtype: Optional[Union[str, np.dtype, type]] = None,
 ) -> List[np.ndarray]:
-    """Batched :func:`spectrogram_image` over variable-length regions.
+    """:func:`spectrogram_image` of every row of a ragged list.
 
     Rows are grouped by their effective ``(frame_length, hop_length)``
-    (both depend on row length), each group's frames are concatenated
-    into one matrix and transformed with a single ``rfft`` call, and the
-    log compression / resize / normalisation run per row on the split
-    results. Under the default float64 ``dtype`` every image is
-    byte-identical to the per-row function; ``float32`` is the hot path —
-    frames are cast before the FFT (a complex64 transform) and images are
-    stored single-precision, tolerance-close to the float64 chain.
+    (both depend on row length). Each group's frames are concatenated
+    into one matrix and transformed with a single ``rfft`` call; the dB
+    compression, bilinear resize and normalisation then run as array
+    operations over the group's power matrix, each row against its own
+    maximum, frame count and range. Under the default float64 ``dtype``
+    an image does not depend on its batchmates; ``float32`` is the hot
+    path — frames are cast before the FFT (a complex64 transform), the
+    dB step runs single-precision and images are stored
+    single-precision, tolerance-close to the float64 chain.
     """
     out_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
     arrays = [np.asarray(r, dtype=float) for r in rows]
@@ -131,7 +177,6 @@ def spectrogram_image_batch(
         fl = min(frame_length, max(8, x.size))
         hl = max(1, min(hop_length, fl // 2))
         groups.setdefault((fl, hl), []).append(i)
-    floor_power = 10 ** (-120.0 / 10.0)
     for (fl, hl), idxs in groups.items():
         frames_list = [frame_signal(arrays[i], fl, hl, pad=True) for i in idxs]
         counts = [f.shape[0] for f in frames_list]
@@ -140,19 +185,8 @@ def spectrogram_image_batch(
         if out_dtype == np.dtype(np.float32):
             all_frames = all_frames.astype(np.float32)
             win = win.astype(np.float32)
-        spectrum = np.fft.rfft(all_frames * win, axis=1)
-        power = np.abs(spectrum) ** 2
-        offset = 0
-        for k, i in enumerate(idxs):
-            # (n_freqs, n_frames) orientation, as log_spectrogram returns.
-            p = power[offset : offset + counts[k]].T
-            offset += counts[k]
-            ref = p.max() if p.size and p.max() > 0 else 1.0
-            db = 10.0 * np.log10(np.maximum(p / ref, floor_power))
-            image = resize_image(db, (size, size))
-            lo, hi = image.min(), image.max()
-            if hi - lo < 1e-12:
-                images[i] = np.zeros((size, size), dtype=out_dtype)
-            else:
-                images[i] = ((image - lo) / (hi - lo)).astype(out_dtype, copy=False)
+        power = np.abs(np.fft.rfft(all_frames * win, axis=1)) ** 2
+        resized = _resize_stack(_decibels(power, counts), counts, (size, size))
+        for i, image in zip(idxs, _normalise(resized, out_dtype)):
+            images[i] = image
     return images  # type: ignore[return-value]

@@ -227,18 +227,24 @@ class VibrationChannel:
                 stack[s, : lengths[r]] = rolled[r]
             if speaker.compression > 0:
                 knee = max(1e-6, 1.0 - speaker.compression)
-                stack = np.tanh(stack / knee) * knee
+                stack /= knee
+                np.tanh(stack, out=stack)
+                stack *= knee
             force = speaker.drive_gain * stack
-            resonant = lfilter(b / a[0], a / a[0], force, axis=-1)
-            vibration = chassis.attenuation * (0.6 * resonant + 0.4 * force)
+            # attenuation * (0.6 * resonant + 0.4 * force), in place.
+            vibration = lfilter(b / a[0], a / a[0], force, axis=-1)
+            vibration *= 0.6
+            force *= 0.4
+            vibration += force
+            vibration *= chassis.attenuation
             for s, r in enumerate(bucket):
                 vib_rows[r] = vibration[s, : lengths[r]]
 
         for r, i in enumerate(work):
             vib = vib_rows[r]
             rng = rngs[i]
-            slow = np.zeros_like(vib)
+            slow = None
             if self.environment is not None:
-                slow = slow + self.environment.noise(vib.size, audio_fs, rng)
+                slow = self.environment.noise(vib.size, audio_fs, rng)
             traces[i] = self._accel.sample(vib, audio_fs, rng, slow_component=slow)
         return traces  # type: ignore[return-value]

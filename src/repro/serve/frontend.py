@@ -26,6 +26,11 @@ Contracts, layered on the server's own:
   accepting, sheds new arrivals with ``reason="draining"``, then serves
   every already-admitted request to completion before closing sockets —
   mirroring the server's exactly-once ``ServeFuture`` contract.
+- **fail closed**: if the dispatcher task dies, every queued and
+  in-flight request is answered with an ``error``, new offers are shed
+  with ``reason="dispatcher_failed"`` and ``stop()`` returns without
+  sitting out the drain deadline (counted as
+  ``frontend.dispatcher_failures``).
 
 A malformed frame (oversized, garbage, undecodable JSON) kills only the
 connection that sent it, after a best-effort ``error`` response.
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import logging
 import threading
 import time
 from collections import deque
@@ -55,6 +61,7 @@ from repro.obs import metrics
 from repro.serve.admission import (
     AdmissionController,
     Admitted,
+    ShedDecision,
     TenantConfig,
     TokenBucket,
 )
@@ -72,6 +79,8 @@ from repro.serve.server import (
 )
 
 __all__ = ["AsyncFrontendClient", "FrontendClient", "ServingFrontend"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -95,7 +104,7 @@ class _Connection:
             return False
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingRequest:
     """One admitted request waiting for (or in) the inference server."""
 
@@ -109,6 +118,9 @@ class _PendingRequest:
     model: Optional[str]
     timeout_s: Optional[float]
     accepted_at: float = field(default_factory=time.perf_counter)
+    #: Answered with an error when the dispatcher died; a late server
+    #: resolution of it is dropped.
+    abandoned: bool = False
 
 
 class ServingFrontend:
@@ -185,6 +197,11 @@ class ServingFrontend:
             )
         self._connections: Set[_Connection] = set()
         self._inflight = 0
+        #: Requests handed to the server and not yet answered, and the
+        #: one being handed over: what a dead dispatcher leaves to answer.
+        self._dispatched: Set[_PendingRequest] = set()
+        self._dispatching: Optional[_PendingRequest] = None
+        self._dispatcher_failed = False
         #: Resolutions handed over by the batcher thread, drained on the
         #: event loop; ``_drain_scheduled`` keeps one drain in flight.
         self._resolved: Deque[Tuple[_PendingRequest, ServeResult]] = deque()
@@ -212,6 +229,8 @@ class ServingFrontend:
         self._started.clear()
         self._startup_error = None
         self._dispatcher_stop = False
+        self._dispatcher_failed = False
+        self._dispatched.clear()
         with self._resolved_lock:
             # A drain left pending when a previous loop closed never ran.
             self._resolved.clear()
@@ -262,6 +281,7 @@ class ServingFrontend:
         self.port = listener.sockets[0].getsockname()[1]
         self._started.set()
         dispatcher = asyncio.create_task(self._dispatch_loop())
+        dispatcher.add_done_callback(self._on_dispatcher_done)
         await self._stop_event.wait()
 
         # Graceful drain: no new connections, new offers shed, admitted
@@ -286,6 +306,8 @@ class ServingFrontend:
         try:
             await dispatcher
         except asyncio.CancelledError:
+            pass
+        except Exception:  # noqa: BLE001 - reported by _on_dispatcher_done
             pass
         for conn in list(self._connections):
             conn.closed = True
@@ -386,7 +408,10 @@ class ServingFrontend:
                 }
             )
             return
-        decision = self.admission.offer(tenant, pending.lane, pending)
+        if self._dispatcher_failed:
+            decision = ShedDecision(reason="dispatcher_failed", retry_after_s=1.0)
+        else:
+            decision = self.admission.offer(tenant, pending.lane, pending)
         if decision is not None:
             self.shed += 1
             metrics().count("frontend.shed", tenant=tenant, reason=decision.reason)
@@ -577,8 +602,36 @@ class ServingFrontend:
             entry = self.admission.next(allow_backfill=allow_backfill)
             if entry is None:
                 return None
+            self._dispatching = entry.item
             self._submit_entry(entry)
+            self._dispatching = None
         return None
+
+    def _on_dispatcher_done(self, task: asyncio.Task) -> None:
+        """Fail closed if the dispatcher task died: nothing admitted may hang.
+
+        Answers the request being handed over, every queued one and
+        every one in flight with an ``error``; from now on new offers are
+        shed and the server's late answers to abandoned requests are
+        dropped, so the drain in :meth:`_main` has nothing to wait for.
+        """
+        if task.cancelled() or task.exception() is None:
+            return
+        exc = task.exception()
+        self._dispatcher_failed = True
+        metrics().count("frontend.dispatcher_failures")
+        _log.error("frontend dispatcher failed", exc_info=exc)
+        orphans = [self._dispatching] if self._dispatching is not None else []
+        self._dispatching = None
+        while (entry := self.admission.next()) is not None:
+            orphans.append(entry.item)
+        orphans.extend(self._dispatched - set(orphans))
+        self._inflight -= len(self._dispatched)
+        self._dispatched.clear()
+        error = f"dispatcher failed: {type(exc).__name__}: {exc}"
+        for pending in orphans:
+            pending.abandoned = True
+            self._answer_error(pending, error)
 
     def _submit_entry(self, entry: Admitted) -> None:
         pending = entry.item
@@ -607,6 +660,7 @@ class ServingFrontend:
             self._answer_error(pending, f"{type(exc).__name__}: {exc}")
             return
         self._inflight += 1
+        self._dispatched.add(pending)
         future.add_done_callback(
             lambda result, p=pending: self._post_result(p, result)
         )
@@ -648,6 +702,10 @@ class ServingFrontend:
         with self._resolved_lock:
             resolved, self._resolved = self._resolved, deque()
             self._drain_scheduled = False
+        if self._dispatcher_failed:
+            resolved = [(p, r) for p, r in resolved if not p.abandoned]
+        for pending, _ in resolved:
+            self._dispatched.discard(pending)
         now = time.perf_counter()
         self._inflight -= len(resolved)
         self.answered += len(resolved)

@@ -6,6 +6,8 @@ import pytest
 from repro.attack.engine import (
     CollectionCache,
     CollectionStats,
+    _item_rng,
+    _loudest,
     collect_datasets,
     collection_key,
     global_stats,
@@ -16,7 +18,7 @@ from repro.attack.pipeline import (
     collect_feature_dataset,
     collect_spectrogram_dataset,
 )
-from repro.attack.regions import RegionDetector
+from repro.attack.regions import Region, RegionDetector
 from repro.eval.io import load_collection, save_collection
 from repro.eval.suite import run_table
 from repro.parallel import run_tasks
@@ -181,3 +183,22 @@ class TestStats:
         assert stats.transmits == 18
         assert stats.cache_hits == 0
         assert stats.cache_misses == 1
+
+
+class TestChunkHelpers:
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**40 + 3])
+    @pytest.mark.parametrize("index", [0, 1, 419, 2**31 + 5])
+    def test_item_rng_is_the_seed_list_stream(self, seed, index):
+        ref = np.random.default_rng([0x454D4F, seed & 0xFFFFFFFF, index])
+        got = _item_rng(seed, index)
+        assert got.uniform(size=4).tobytes() == ref.uniform(size=4).tobytes()
+        assert got.normal(size=8).tobytes() == ref.normal(size=8).tobytes()
+
+    def test_loudest_region(self):
+        signal = np.full(100, 9.8)
+        signal[60:80] += np.sin(np.arange(20.0))
+        quiet, loud = Region(10, 30, 100.0), Region(60, 80, 100.0)
+        assert _loudest(signal, []) is None
+        assert _loudest(signal, [quiet]) is quiet
+        assert _loudest(signal, [quiet, loud]) is loud
+        assert _loudest(signal, [loud, quiet]) is loud

@@ -4,7 +4,11 @@ Every batched stage must produce *byte-identical* float64 output
 regardless of batch composition, batch size or padding width — that is
 the contract that lets the batched pipeline share golden fixtures with
 the per-utterance reference path. Each test compares ``.tobytes()``, not
-``allclose``.
+``allclose``. Region detection and spectrogram images have no per-row
+production path left (the one-row calls are the batch of one), so their
+tests compare against the frozen per-row oracles
+``tests/attack/_detect_reference.py`` and
+``tests/dsp/_spectrogram_reference.py``.
 """
 
 import numpy as np
@@ -12,16 +16,16 @@ import pytest
 
 from repro.attack.features import extract_features, extract_features_batch
 from repro.attack.regions import RegionDetector
-from repro.attack.specimages import (
-    region_spectrogram_image,
-    region_spectrogram_images_batch,
-)
+from repro.attack.specimages import region_spectrogram_images_batch
 from repro.datasets import build_tess
 from repro.dsp.spectrogram import spectrogram_image, spectrogram_image_batch
 from repro.dsp.stft import frame_signal, stft
 from repro.phone import VibrationChannel
 from repro.speech.formants import formant_filter, formant_filter_batch
 from repro.speech.glottal import glottal_source, glottal_source_banked
+
+from tests.attack._detect_reference import reference_detect
+from tests.dsp._spectrogram_reference import reference_spectrogram_image
 
 
 def _item_rng(seed, index):
@@ -151,14 +155,15 @@ class TestSpectrogramImageBatch:
         rows = [rng.normal(size=n) for n in (9, 40, 64, 500, 1931)]
         got = spectrogram_image_batch(rows, 500.0)
         for row, g in zip(rows, got):
-            ref = spectrogram_image(row, 500.0)
+            ref = reference_spectrogram_image(row, 500.0)
             assert ref.tobytes() == g.tobytes()
+            assert spectrogram_image(row, 500.0).tobytes() == g.tobytes()
 
     def test_flat_row_parity(self):
         rows = [np.zeros(100), np.ones(64)]
         got = spectrogram_image_batch(rows, 500.0)
         for row, g in zip(rows, got):
-            assert spectrogram_image(row, 500.0).tobytes() == g.tobytes()
+            assert reference_spectrogram_image(row, 500.0).tobytes() == g.tobytes()
 
 
 class TestDetectBatch:
@@ -177,19 +182,28 @@ class TestDetectBatch:
         fs = channel.accel_fs
         batched = detector.detect_batch(traces, fs)
         for trace, regions in zip(traces, batched):
+            assert reference_detect(detector, trace, fs) == regions
             assert detector.detect(trace, fs) == regions
 
     def test_degenerate_rows(self):
         detector = RegionDetector.for_setting("table_top")
+        rng = np.random.default_rng(0)
+        noise = rng.normal(size=2000)
+        session = 9.81 + 0.003 * rng.normal(size=30000)  # a minute, bursts every 5 s
+        for start in range(1000, 29000, 2500):
+            session[start : start + 400] += 0.1 * np.sin(np.arange(400.0))
         traces = [
             np.zeros(0),
             np.zeros(1),
+            np.array([9.8, 9.9]),
             np.full(300, 9.80665),
-            np.random.default_rng(0).normal(size=2000),
+            noise,
+            session,
         ]
         batched = detector.detect_batch(traces, 500.0)
         for trace, regions in zip(traces, batched):
-            assert detector.detect(trace, 500.0) == regions
+            assert reference_detect(detector, trace, 500.0) == regions
+        assert len(batched[-1]) == 12
 
 
 class TestFeaturesBatch:
@@ -233,5 +247,6 @@ class TestRegionImagesBatch:
         assert traces, "fixture produced no detectable regions"
         got = region_spectrogram_images_batch(traces, regions)
         for trace, region, g in zip(traces, regions, got):
-            ref = region_spectrogram_image(trace, region)
+            samples = region.slice(trace)
+            ref = reference_spectrogram_image(samples - samples.mean(), region.fs)
             assert ref.tobytes() == g.tobytes()

@@ -23,6 +23,8 @@ from repro.attack.regions import _hysteresis_spans
 from repro.batch import UtteranceBatch
 from repro.dsp.envelope import moving_rms
 
+from tests.attack._detect_reference import reference_detection_signal
+
 # -- strategies -------------------------------------------------------------
 
 _lengths = st.lists(st.integers(min_value=0, max_value=300), min_size=0, max_size=8)
@@ -114,15 +116,15 @@ class TestBatchedMovingRms:
     )
     @settings(max_examples=40, deadline=None)
     def test_detection_envelope_parity(self, lengths, seed, window_s):
-        # detect_batch's cumulative-sum envelope must equal the scalar
-        # moving_rms row by row; exercised through the public detector.
+        # detect_batch's cumulative-sum envelope stack must equal the
+        # scalar moving_rms row by row.
         from repro.attack.regions import RegionDetector
 
         rows = _rows_from(lengths, seed)
         detector = RegionDetector(envelope_window_s=window_s, highpass_hz=None)
-        envelopes = detector._detection_signals(rows, 500.0)
-        for row, env in zip(rows, envelopes):
-            ref = detector.detection_signal(row, 500.0)
+        stack, sizes = detector._envelope_stack(rows, 500.0)
+        for row, env in zip(rows, (stack[r, :n] for r, n in enumerate(sizes))):
+            ref = reference_detection_signal(detector, row, 500.0)
             assert ref.tobytes() == env.tobytes()
             window = max(3, int(round(window_s * 500.0)))
             assert moving_rms(row - np.median(row), window).tobytes() == env.tobytes()

@@ -675,3 +675,101 @@ class TestGracefulDrain:
             frontend = ServingFrontend(server).start()
             frontend.stop()
             frontend.stop()  # no-op, no error
+
+
+class TestDispatcherSupervision:
+    @staticmethod
+    def _fail_submit_on_call(frontend, n):
+        """Make the dispatcher's ``n``-th hand-over raise (once)."""
+        original = frontend._submit_entry
+        calls = []
+
+        def submit(entry):
+            calls.append(entry)
+            if len(calls) == n:
+                raise RuntimeError("injected dispatcher fault")
+            original(entry)
+
+        frontend._submit_entry = submit
+
+    def test_dead_dispatcher_answers_and_sheds(self, clf_registry):
+        """A dispatcher that raises must not leave its client hanging."""
+        reset_observability()
+        X, _ = make_blobs(n_per_class=1)
+        with InferenceServer(
+            clf_registry, model="blobs-clf", max_batch=4, max_linger_s=0.001
+        ) as server:
+            frontend = ServingFrontend(server, drain_timeout_s=10.0)
+            self._fail_submit_on_call(frontend, 1)
+            frontend.start()
+            try:
+                with FrontendClient("127.0.0.1", frontend.port, timeout_s=5.0) as client:
+                    t0 = time.perf_counter()
+                    response = client.predict(X[0])
+                    waited = time.perf_counter() - t0
+                    after = client.predict(X[0])
+            finally:
+                t0 = time.perf_counter()
+                frontend.stop()
+                stop_s = time.perf_counter() - t0
+        assert response["status"] == "error"
+        assert "injected dispatcher fault" in response["error"]
+        assert waited < 1.0
+        assert after["status"] == "shed"
+        assert after["reason"] == "dispatcher_failed"
+        assert metrics().counter_total("frontend.dispatcher_failures") == 1
+        assert stop_s < 1.0  # the drain deadline is 10 s
+        assert frontend.answered == frontend.accepted == 1
+
+    def test_queued_and_inflight_requests_answered_once(self, clf_registry):
+        """In-flight requests get their error now; their late server
+        answers are dropped, so every request is answered exactly once."""
+        reset_observability()
+        bundle = clf_registry.get("blobs-clf")
+        original = bundle.classifier.predict_proba
+        release = threading.Event()
+
+        def blocked(X):
+            release.wait(10.0)
+            return original(X)
+
+        bundle.classifier.predict_proba = blocked
+        X, _ = make_blobs(n_per_class=1)
+        try:
+            with InferenceServer(
+                clf_registry, model="blobs-clf", max_batch=1, max_linger_s=0.001
+            ) as server:
+                frontend = ServingFrontend(
+                    server,
+                    default_tenant=TenantConfig("default", rate=float("inf"), burst=64.0),
+                    drain_timeout_s=10.0,
+                )
+                self._fail_submit_on_call(frontend, 3)
+                frontend.start()
+
+                async def burst():
+                    client = await AsyncFrontendClient("127.0.0.1", frontend.port).connect()
+                    try:
+                        futures = [client.submit(X[0]) for _ in range(5)]
+                        return await asyncio.wait_for(asyncio.gather(*futures), 5.0)
+                    finally:
+                        await client.close()
+
+                responses = run_async(burst())
+                release.set()
+                time.sleep(0.2)  # the server now answers the two abandoned ones
+                t0 = time.perf_counter()
+                frontend.stop()
+                stop_s = time.perf_counter() - t0
+        finally:
+            bundle.classifier.predict_proba = original
+            release.set()
+        statuses = [r["status"] for r in responses]
+        assert statuses[:3] == ["error"] * 3
+        for r in responses[3:]:
+            assert r["status"] == "error" or r["reason"] == "dispatcher_failed"
+        assert frontend.answered == frontend.accepted
+        assert frontend.accepted + frontend.shed == 5
+        assert frontend._inflight == 0
+        assert metrics().counter_total("frontend.dispatcher_failures") == 1
+        assert stop_s < 1.0
