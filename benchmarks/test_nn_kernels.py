@@ -1,7 +1,9 @@
 """NN compute-kernel microbenchmarks: GEMM vs reference conv kernels.
 
 Times the conv kernels three ways — the seed's kernel-offset loop in
-float64 (``reference/f64``), the im2col GEMM rewrite in float64
+float64 (``reference/f64``, the test oracle
+``tests/nn/_kernel_offset_oracle.py`` swapped in through
+``reference_convs``), the im2col GEMM lowering in float64
 (``gemm/f64``), and GEMM under the float32 precision policy
 (``gemm/f32``) — first as isolated layer forward/backward
 microbenchmarks, then as full one-epoch ``fit`` runs of the paper's
@@ -34,6 +36,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -53,8 +56,9 @@ from repro.nn.policy import policy_scope
 
 from benchmarks._common import print_header
 from tests.nn import _lowering_oracle as oracle
+from tests.nn._kernel_offset_oracle import reference_convs
 
-#: (label, conv_kernel, compute_dtype). ``reference/f64`` is the seed path.
+#: (label, conv kernel, compute_dtype). ``reference/f64`` is the seed path.
 CONFIGS = [
     ("reference/f64", "reference", "float64"),
     ("gemm/f64", "gemm", "float64"),
@@ -131,21 +135,26 @@ def _write_bench_artifact():
     print(f"\n[emoleak] wrote kernel benchmark trajectory to {path}")
 
 
+def _kernel_scope(kernel):
+    """The oracle's kernel-offset convs for ``reference`` rows, GEMM otherwise."""
+    return reference_convs() if kernel == "reference" else nullcontext()
+
+
 def _conv_layer_seconds(make_layer, input_shape, x64, kernel, dtype):
     """Forward+backward wall time for one conv layer under a config."""
-    with policy_scope(compute_dtype=dtype, conv_kernel=kernel):
+    with policy_scope(compute_dtype=dtype):
         layer = make_layer()
         layer.build(input_shape, np.random.default_rng(0))
     x = x64.astype(layer.params[0].dtype)
-    grad_shape = layer.forward(x, training=True).shape
-    grad = np.ones(grad_shape, dtype=x.dtype)
 
     def step():
         layer.forward(x, training=True)
         layer.backward(grad)
 
-    step()  # warm the im2col workspace before timing
-    return _best_of(step)
+    with _kernel_scope(kernel):
+        grad = np.ones(layer.forward(x, training=True).shape, dtype=x.dtype)
+        step()  # warm the im2col workspace before timing
+        return _best_of(step)
 
 
 class TestConvMicrobench:
@@ -177,7 +186,7 @@ def _epoch_seconds(builder, shape, width_scale, n, kernel, dtype, batch_size=32)
     rng = np.random.default_rng(0)
     X = rng.random((n,) + shape) - 0.5
     y = rng.integers(0, 4, n)
-    with policy_scope(compute_dtype=dtype, conv_kernel=kernel):
+    with policy_scope(compute_dtype=dtype), _kernel_scope(kernel):
         model = builder(4, width_scale=width_scale, seed=0)
         model.build(shape)
 

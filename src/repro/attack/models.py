@@ -17,10 +17,9 @@ runs; 1.0 reproduces the paper's layer sizes exactly.
 
 Both builders are policy-aware: layers build their parameters in the
 :mod:`repro.nn.policy` compute dtype (float64 by default, float32 via
-``set_policy``/``--nn-dtype``) and the convolutions run through the
-policy's kernel selection — the im2col/GEMM path by default, or the
-original kernel-offset reference path for parity checks. See
-``benchmarks/test_nn_kernels.py`` for measured epoch-time speedups.
+``set_policy``/``--nn-dtype``), and the convolutions run through the
+im2col/GEMM lowering. See ``benchmarks/test_nn_kernels.py`` for measured
+epoch-time speedups.
 """
 
 from __future__ import annotations

@@ -141,13 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
              "numerics; float32 roughly halves training time)",
     )
     parser.add_argument(
-        "--nn-kernel",
-        choices=("gemm", "reference"),
-        default=None,
-        help="convolution kernel: gemm (im2col + single GEMM, default) "
-             "or reference (the original kernel-offset summation)",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
@@ -204,10 +197,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_scenarios:
         _list_scenarios()
         return 0
-    if args.nn_dtype or args.nn_kernel:
+    if args.nn_dtype:
         from repro.nn.policy import set_policy
 
-        set_policy(compute_dtype=args.nn_dtype, conv_kernel=args.nn_kernel)
+        set_policy(compute_dtype=args.nn_dtype)
     cache = CollectionCache(cache_dir=args.cache_dir)
     if args.table:
         from repro.eval.suite import run_table

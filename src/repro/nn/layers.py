@@ -10,12 +10,10 @@ Conventions
 - Convolutions use "same" zero padding (as the paper's feature CNN
   states) or "valid".
 - Parameters are allocated in the :mod:`repro.nn.policy` compute dtype
-  at ``build`` time; the convolution kernel ("gemm" im2col/GEMM or the
-  original "reference" kernel-offset summation) is re-read from the
-  policy on every forward, unless pinned per layer via ``kernel=``.
+  at ``build`` time.
 
-The GEMM path lowers each convolution to matrix multiplies streamed
-through cache-sized chunks of samples (:func:`_chunk_bounds`). The
+Each convolution is lowered to matrix multiplies streamed through
+cache-sized chunks of samples (:func:`_chunk_bounds`). The
 forward copies a chunk into a zero-bordered pad workspace, gathers its
 receptive fields through one strided window view into the im2col
 workspace, and runs ``cols @ W2d`` into that chunk's output rows; a
@@ -26,7 +24,10 @@ chunk-sized workspace, then one scatter-add per kernel offset, clipped
 to the unpadded input. Outputs and gradients are bit-identical to the
 whole-batch lowering (``tests/nn/test_lowering.py``), given the two
 BLAS identities ``tests/nn/test_blas_guard.py`` checks. 1x1
-convolutions skip the gather entirely.
+convolutions skip the gather entirely. The original kernel-offset
+summation survives only as the test oracle
+``tests/nn/_kernel_offset_oracle.py``, which pins this lowering's
+outputs and gradients at ``rtol=1e-10``.
 
 Max pooling sweeps the pool-window offsets as strided views in row-major
 order, keeping the running max and a compact (uint8 when it fits)
@@ -46,7 +47,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.activations import relu
 from repro.nn.initializers import he_normal
-from repro.nn.policy import CONV_KERNELS, get_policy
+from repro.nn.policy import get_policy
 
 __all__ = [
     "Layer",
@@ -158,15 +159,6 @@ class Dense(Layer):
         return (self.units,)
 
     def forward(self, x, training):
-        if get_policy().conv_kernel == "quantized":
-            if training:
-                raise RuntimeError(
-                    "the quantized kernel is inference-only; train under "
-                    "'gemm' or 'reference' and quantize afterwards"
-                )
-            from repro.nn.quant import dense_forward_quantized
-
-            return dense_forward_quantized(self.W, self.b, x)
         self._x = x
         return x @ self.W + self.b
 
@@ -416,45 +408,15 @@ def _col2im(g2, w2d, ksize, pads, dx, dcols_ws) -> None:
 
 
 class _ConvBase(Layer):
-    """Shared kernel dispatch and GEMM lowering for the convolution layers."""
+    """The GEMM lowering shared by the convolution layers."""
 
-    def __init__(self, kernel: Optional[str]):
+    def __init__(self):
         super().__init__()
-        if kernel is not None and kernel not in CONV_KERNELS:
-            raise ValueError(f"kernel must be one of {CONV_KERNELS}, got {kernel!r}")
-        self.kernel = kernel
         self._cols_ws = _Workspace()
         self._dcols_ws = _Workspace()
         self._pad_ws = _Workspace()
 
-    def _active_kernel(self) -> str:
-        return self.kernel if self.kernel is not None else get_policy().conv_kernel
-
     def forward(self, x, training):
-        kernel = self._active_kernel()
-        self._fwd_kernel = kernel  # backward must match the forward's cache
-        if kernel == "reference":
-            return self._forward_reference(x, training)
-        if kernel == "quantized":
-            if training:
-                raise RuntimeError(
-                    "the quantized kernel is inference-only; train under "
-                    "'gemm' or 'reference' and quantize afterwards"
-                )
-            from repro.nn.quant import conv_forward_quantized
-
-            return conv_forward_quantized(self, x)
-        return self._forward_gemm(x, training)
-
-    def backward(self, grad):
-        if self._fwd_kernel == "reference":
-            return self._backward_reference(grad)
-        if self._fwd_kernel == "quantized":
-            raise RuntimeError("the quantized kernel has no backward pass")
-        return self._backward_gemm(grad)
-
-    # -- gemm kernel --------------------------------------------------------
-    def _forward_gemm(self, x, training):
         ksize, f = self.W.shape[:-2], self.filters
         self._x = x
         if ksize == (1,) * len(ksize):
@@ -470,7 +432,7 @@ class _ConvBase(Layer):
         )
         return out
 
-    def _backward_gemm(self, grad):
+    def backward(self, grad):
         ksize, f = self.W.shape[:-2], self.filters
         x = self._x
         spatial_axes = tuple(range(grad.ndim - 1))
@@ -497,20 +459,12 @@ class _ConvBase(Layer):
 class Conv2D(_ConvBase):
     """2-D convolution (stride 1, channels-last).
 
-    The default "gemm" kernel lowers the convolution to im2col plus
-    GEMMs streamed through sample chunks (see the module docstring);
-    ``kernel="reference"`` pins this layer to the original kernel-offset
-    summation (otherwise the :mod:`repro.nn.policy` selection applies).
+    Lowered to im2col plus GEMMs streamed through sample chunks (see the
+    module docstring).
     """
 
-    def __init__(
-        self,
-        filters: int,
-        kernel_size,
-        padding: str = "same",
-        kernel: Optional[str] = None,
-    ):
-        super().__init__(kernel)
+    def __init__(self, filters: int, kernel_size, padding: str = "same"):
+        super().__init__()
         if filters < 1:
             raise ValueError("filters must be >= 1")
         if isinstance(kernel_size, int):
@@ -540,57 +494,12 @@ class Conv2D(_ConvBase):
             return (h, w, self.filters)
         return (h - self.kh + 1, w - self.kw + 1, self.filters)
 
-    # -- reference kernel (the original kernel-offset summation) ------------
-    def _forward_reference(self, x, training):
-        ph0, ph1 = _pad_amounts(x.shape[1], self.kh, self.padding)
-        pw0, pw1 = _pad_amounts(x.shape[2], self.kw, self.padding)
-        xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-        self._xp = xp
-        self._pads = (ph0, ph1, pw0, pw1)
-        n, hp, wp, c = xp.shape
-        h_out = hp - self.kh + 1
-        w_out = wp - self.kw + 1
-        out = np.tile(self.b, (n, h_out, w_out, 1))
-        for i in range(self.kh):
-            for j in range(self.kw):
-                patch = xp[:, i : i + h_out, j : j + w_out, :]
-                out += patch @ self.W[i, j]
-        self._out_hw = (h_out, w_out)
-        return out
-
-    def _backward_reference(self, grad):
-        xp = self._xp
-        h_out, w_out = self._out_hw
-        dxp = np.zeros_like(xp)
-        self.grads[0][...] = 0.0
-        for i in range(self.kh):
-            for j in range(self.kw):
-                patch = xp[:, i : i + h_out, j : j + w_out, :]
-                self.grads[0][i, j] = np.tensordot(
-                    patch, grad, axes=([0, 1, 2], [0, 1, 2])
-                )
-                dxp[:, i : i + h_out, j : j + w_out, :] += grad @ self.W[i, j].T
-        self.grads[1][...] = grad.sum(axis=(0, 1, 2))
-        ph0, ph1, pw0, pw1 = self._pads
-        hp, wp = dxp.shape[1], dxp.shape[2]
-        return dxp[:, ph0 : hp - ph1, pw0 : wp - pw1, :]
-
 
 class Conv1D(_ConvBase):
-    """1-D convolution (stride 1, channels-last).
+    """1-D convolution (stride 1, channels-last), lowered as :class:`Conv2D`."""
 
-    Kernel selection mirrors :class:`Conv2D`: "gemm" (im2col + GEMM,
-    default) or "reference" (kernel-offset summation).
-    """
-
-    def __init__(
-        self,
-        filters: int,
-        kernel_size: int,
-        padding: str = "same",
-        kernel: Optional[str] = None,
-    ):
-        super().__init__(kernel)
+    def __init__(self, filters: int, kernel_size: int, padding: str = "same"):
+        super().__init__()
         if filters < 1 or kernel_size < 1:
             raise ValueError("filters and kernel_size must be >= 1")
         self.filters = int(filters)
@@ -614,34 +523,6 @@ class Conv1D(_ConvBase):
         if self.padding == "same":
             return (length, self.filters)
         return (length - self.k + 1, self.filters)
-
-    # -- reference kernel (the original kernel-offset summation) ------------
-    def _forward_reference(self, x, training):
-        p0, p1 = _pad_amounts(x.shape[1], self.k, self.padding)
-        xp = np.pad(x, ((0, 0), (p0, p1), (0, 0)))
-        self._xp = xp
-        self._pads = (p0, p1)
-        n, lp, c = xp.shape
-        l_out = lp - self.k + 1
-        out = np.tile(self.b, (n, l_out, 1))
-        for i in range(self.k):
-            out += xp[:, i : i + l_out, :] @ self.W[i]
-        self._l_out = l_out
-        return out
-
-    def _backward_reference(self, grad):
-        xp = self._xp
-        l_out = self._l_out
-        dxp = np.zeros_like(xp)
-        self.grads[0][...] = 0.0
-        for i in range(self.k):
-            patch = xp[:, i : i + l_out, :]
-            self.grads[0][i] = np.tensordot(patch, grad, axes=([0, 1], [0, 1]))
-            dxp[:, i : i + l_out, :] += grad @ self.W[i].T
-        self.grads[1][...] = grad.sum(axis=(0, 1))
-        p0, p1 = self._pads
-        lp = dxp.shape[1]
-        return dxp[:, p0 : lp - p1, :]
 
 
 def _pool_windows(a: np.ndarray, p: int) -> List[np.ndarray]:

@@ -30,7 +30,7 @@ from repro.nn.losses import CategoricalCrossEntropy
 from repro.nn.optim import Adam
 from repro.nn.policy import get_policy
 
-__all__ = ["Sequential", "History", "describe_checkpoint_source"]
+__all__ = ["Sequential", "History", "describe_checkpoint_source", "forward_batched"]
 
 
 def describe_checkpoint_source(path) -> str:
@@ -39,6 +39,21 @@ def describe_checkpoint_source(path) -> str:
         return str(path)
     name = getattr(path, "name", None)
     return str(name) if name is not None else f"<{type(path).__name__}>"
+
+
+def forward_batched(forward, X: np.ndarray, batch_size: int, n_classes: int) -> np.ndarray:
+    """Logits of ``forward`` over ``X``, ``batch_size`` rows at a time.
+
+    A single slice comes back as ``forward`` returned it; zero rows give
+    ``(0, n_classes)`` logits in ``X``'s dtype.
+    """
+    chunks = [
+        forward(X[start : start + batch_size])
+        for start in range(0, X.shape[0], batch_size)
+    ]
+    if not chunks:
+        return np.empty((0, n_classes), dtype=X.dtype)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
 
 @dataclass
@@ -145,11 +160,9 @@ class Sequential:
         if not self._built:
             raise RuntimeError("model is not built/fitted")
         X = np.asarray(X, dtype=self._dtype)
-        chunks = [
-            self._forward(X[start : start + batch_size], training=False)
-            for start in range(0, X.shape[0], batch_size)
-        ]
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+        return forward_batched(
+            lambda x: self._forward(x, training=False), X, batch_size, self.n_classes
+        )
 
     def predict_proba(self, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Class probabilities, computed in inference mode."""

@@ -32,18 +32,15 @@ inference-only int8 pipeline:
   :class:`QuantizedCNNClassifier` with the same predict API, ready for
   bundling.
 
-The :mod:`repro.nn.policy` kernel ``"quantized"`` routes the *float*
-layers through :func:`conv_forward_quantized` /
-:func:`dense_forward_quantized` on the fly (weights re-quantised every
-forward, so there is no staleness after further training); the
-:class:`QuantizedSequential` path pre-quantises once and is what
-serving deploys.
+The int8 matmul lives only in the ``Quantized*`` layers: a model is
+quantised once, after training, and the :class:`QuantizedSequential`
+it yields is what serving deploys. The float layers have no int8 path.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +60,7 @@ from repro.nn.layers import (
     _Workspace,
 )
 from repro.nn.losses import CategoricalCrossEntropy
-from repro.nn.model import Sequential
+from repro.nn.model import Sequential, forward_batched
 
 __all__ = [
     "QMAX",
@@ -81,8 +78,6 @@ __all__ = [
     "quantize_adapter",
     "quantized_model_to_members",
     "quantized_model_from_members",
-    "conv_forward_quantized",
-    "dense_forward_quantized",
 ]
 
 #: Symmetric int8 range: codes live in [-QMAX, QMAX]; -128 is unused so
@@ -169,11 +164,9 @@ def _clone_stateless(layer):
 def _clone_param_layer(layer, W: np.ndarray, b: np.ndarray):
     """A built copy of a conv/dense layer carrying the given weights."""
     if isinstance(layer, Conv1D):
-        new = Conv1D(layer.filters, layer.k, padding=layer.padding,
-                     kernel=layer.kernel)
+        new = Conv1D(layer.filters, layer.k, padding=layer.padding)
     elif isinstance(layer, Conv2D):
-        new = Conv2D(layer.filters, (layer.kh, layer.kw),
-                     padding=layer.padding, kernel=layer.kernel)
+        new = Conv2D(layer.filters, (layer.kh, layer.kw), padding=layer.padding)
     elif isinstance(layer, Dense):
         new = Dense(layer.units)
     else:  # pragma: no cover - guarded by callers
@@ -333,35 +326,6 @@ class QuantizedConv2D(_QuantizedConv):
     _ndim = 2
 
 
-# -- on-the-fly policy kernels ------------------------------------------------
-
-
-def dense_forward_quantized(W: np.ndarray, b: np.ndarray,
-                            x: np.ndarray) -> np.ndarray:
-    """One quantised Dense forward for the ``"quantized"`` policy kernel.
-
-    Weights are re-quantised on every call (O(|W|), dwarfed by the
-    matmul) so the path is always consistent with the current floats.
-    """
-    wq, scales = quantize_weights(W, axis=-1)
-    xq, a = quantize_activations(x)
-    acc = xq @ wq.astype(np.float32)
-    return acc * (a[:, None] * scales[None, :]) + b.astype(np.float32)
-
-
-def conv_forward_quantized(layer, x: np.ndarray) -> np.ndarray:
-    """One quantised conv forward for the ``"quantized"`` policy kernel."""
-    wq, scales = quantize_weights(layer.W, axis=-1)
-    bias = layer.b.astype(np.float32)
-    if isinstance(layer, Conv1D):
-        q = QuantizedConv1D(wq, scales, bias, padding=layer.padding)
-    elif isinstance(layer, Conv2D):
-        q = QuantizedConv2D(wq, scales, bias, padding=layer.padding)
-    else:
-        raise TypeError(f"no quantised kernel for {type(layer).__name__}")
-    return q.forward(x, training=False)
-
-
 # -- quantised model container ------------------------------------------------
 
 _QUANT_LAYER_TYPES = {
@@ -388,13 +352,12 @@ class QuantizedSequential:
     def _forward_batched(self, X: np.ndarray,
                          batch_size: int = 256) -> np.ndarray:
         X = np.asarray(X, dtype=np.float32)
-        chunks = []
-        for start in range(0, X.shape[0], batch_size):
-            out = X[start:start + batch_size]
-            for layer in self.layers:
-                out = layer.forward(out, False)
-            chunks.append(out)
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+        return forward_batched(self._forward, X, batch_size, self.n_classes)
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward(x, False)
+        return x
 
     def predict_proba(self, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
         return softmax(self._forward_batched(X, batch_size))

@@ -23,6 +23,8 @@ from repro.attack.models import build_feature_cnn
 from repro.nn.optim import Adam
 from repro.nn.policy import policy_scope
 
+from tests.nn._kernel_offset_oracle import reference_convs
+
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_feature_fit.json"
 
 N_CLASSES = 4
@@ -64,7 +66,7 @@ class TestGoldenFeatureFit:
 
     def test_float64_reproduces_fixture(self):
         golden = json.loads(FIXTURE.read_text())
-        _, history = _fit(compute_dtype="float64", conv_kernel="gemm")
+        _, history = _fit(compute_dtype="float64")
         assert history.accuracy == golden["accuracy"], (
             "float64 feature-CNN accuracy trajectory drifted"
         )
@@ -75,13 +77,14 @@ class TestGoldenFeatureFit:
 
     def test_reference_kernel_matches_gemm_trajectory(self):
         golden = json.loads(FIXTURE.read_text())
-        _, history = _fit(compute_dtype="float64", conv_kernel="reference")
+        with reference_convs():
+            _, history = _fit(compute_dtype="float64")
         assert history.accuracy == golden["accuracy"]
         np.testing.assert_allclose(history.loss, golden["loss"], rtol=1e-7)
 
 
 def _regenerate() -> None:
-    _, history = _fit(compute_dtype="float64", conv_kernel="gemm")
+    _, history = _fit(compute_dtype="float64")
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text(
         json.dumps(

@@ -22,6 +22,8 @@ from repro.attack.models import build_spectrogram_cnn
 from repro.nn.optim import Adam
 from repro.nn.policy import policy_scope
 
+from tests.nn._kernel_offset_oracle import reference_convs
+
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_spectrogram_fit.json"
 
 N_CLASSES = 4
@@ -83,15 +85,16 @@ class TestGoldenDefaultPolicy:
         np.testing.assert_allclose(history.loss, golden["loss"], rtol=0.05)
 
     def test_reference_kernel_matches_gemm_trajectory(self):
-        """The seed's kernel-offset path trains to the same numbers."""
+        """The seed's kernel-offset path (the test oracle) trains to the same numbers."""
         golden = json.loads(FIXTURE.read_text())
-        _, history = _fit(conv_kernel="reference")
+        with reference_convs():
+            _, history = _fit()
         assert history.accuracy == golden["accuracy"]
         np.testing.assert_allclose(history.loss, golden["loss"], rtol=1e-7)
 
 
 def _regenerate() -> None:
-    _, history = _fit(compute_dtype="float64", conv_kernel="gemm")
+    _, history = _fit(compute_dtype="float64")
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text(
         json.dumps(

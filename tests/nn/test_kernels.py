@@ -1,29 +1,33 @@
-"""Parity and gradient checks for the conv kernels.
+"""Parity and gradient checks for the conv layers.
 
-The GEMM (im2col) kernels must agree with the original kernel-offset
-reference path to tight float64 tolerances — forward outputs, input
-gradients, and parameter gradients — across padding modes, kernel
-shapes and channel counts. Finite-difference checks then validate both
-kernel implementations (and the pooling/dense layers) against central
-differences, so the parity test can't be satisfied by two identically
-wrong implementations.
+The GEMM (im2col) lowering must agree with the original kernel-offset
+summation, kept as the test oracle ``tests/nn/_kernel_offset_oracle.py``,
+to tight float64 tolerances — forward outputs, input gradients, and
+parameter gradients — across padding modes, kernel shapes and channel
+counts. Finite-difference checks then validate both implementations
+(and the pooling/dense layers) against central differences, so the
+parity test can't be satisfied by two identically wrong
+implementations.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv1D, Conv2D, Dense, MaxPool1D, MaxPool2D
-from repro.nn.policy import policy_scope
+from repro.nn.layers import Conv1D, Conv2D, Dense, MaxPool1D, MaxPool2D, _ConvBase
+
+from tests.nn._kernel_offset_oracle import reference_convs
 
 RTOL = 1e-10
 ATOL = 1e-12
 
 
 def _pair_conv2d(filters, kernel_size, padding, c_in, hw, seed=0):
-    """The same Conv2D built twice, pinned to each kernel implementation."""
+    """The same Conv2D built twice: one for the oracle, one for GEMM."""
     layers = []
-    for kernel in ("reference", "gemm"):
-        layer = Conv2D(filters, kernel_size, padding=padding, kernel=kernel)
+    for _ in range(2):
+        layer = Conv2D(filters, kernel_size, padding=padding)
         layer.build((hw[0], hw[1], c_in), np.random.default_rng(seed))
         layers.append(layer)
     return layers
@@ -31,19 +35,21 @@ def _pair_conv2d(filters, kernel_size, padding, c_in, hw, seed=0):
 
 def _pair_conv1d(filters, kernel_size, padding, c_in, length, seed=0):
     layers = []
-    for kernel in ("reference", "gemm"):
-        layer = Conv1D(filters, kernel_size, padding=padding, kernel=kernel)
+    for _ in range(2):
+        layer = Conv1D(filters, kernel_size, padding=padding)
         layer.build((length, c_in), np.random.default_rng(seed))
         layers.append(layer)
     return layers
 
 
 def _run_both(ref, gem, x, grad_seed=99):
-    """Forward + backward through both layers with the same upstream grad."""
-    out_ref = ref.forward(x.copy(), training=False)
+    """Forward + backward through the oracle (``ref``) and GEMM (``gem``)
+    with the same upstream grad."""
+    with reference_convs():
+        out_ref = ref.forward(x.copy(), training=False)
+        grad = np.random.default_rng(grad_seed).normal(size=out_ref.shape)
+        dx_ref = ref.backward(grad.copy())
     out_gem = gem.forward(x.copy(), training=False)
-    grad = np.random.default_rng(grad_seed).normal(size=out_ref.shape)
-    dx_ref = ref.backward(grad.copy())
     dx_gem = gem.backward(grad.copy())
     return out_ref, out_gem, dx_ref, dx_gem
 
@@ -90,9 +96,13 @@ class TestConv2DParity:
         gem.forward(x + 1.0, training=True)
         assert gem._cols_ws._buf is first
 
-    def test_invalid_kernel_name(self):
-        with pytest.raises(ValueError, match="kernel"):
-            Conv2D(2, 3, kernel="winograd")
+    def test_oracle_swap_is_undone(self):
+        """Outside ``reference_convs`` the layers run the GEMM lowering again."""
+        with reference_convs():
+            assert Conv2D.forward is not _ConvBase.forward
+        for cls in (Conv1D, Conv2D):
+            assert cls.forward is _ConvBase.forward
+            assert cls.backward is _ConvBase.backward
 
 
 CONV1D_CASES = [
@@ -117,21 +127,8 @@ class TestConv1DParity:
         for g_ref, g_gem in zip(ref.grads, gem.grads):
             np.testing.assert_allclose(g_gem, g_ref, rtol=RTOL, atol=ATOL)
 
-    def test_policy_selects_kernel(self):
-        """A layer with no pinned kernel follows the active policy."""
-        layer = Conv1D(2, 3)
-        layer.build((6, 1), np.random.default_rng(0))
-        x = np.random.default_rng(5).normal(size=(2, 6, 1))
-        with policy_scope(conv_kernel="reference"):
-            out_ref = layer.forward(x, training=False)
-            assert layer._fwd_kernel == "reference"
-        with policy_scope(conv_kernel="gemm"):
-            out_gem = layer.forward(x, training=False)
-            assert layer._fwd_kernel == "gemm"
-        np.testing.assert_allclose(out_gem, out_ref, rtol=RTOL, atol=ATOL)
 
-
-# -- finite-difference checks (both kernels) --------------------------------
+# -- finite-difference checks (oracle and GEMM convs) -----------------------
 
 def _numeric_grad_input(layer, x, eps=1e-5):
     grad = np.zeros_like(x)
@@ -182,41 +179,42 @@ def _check_gradients(layer, x, atol=1e-5):
             assert np.allclose(analytic, numeric, atol=atol)
 
 
-@pytest.mark.parametrize("kernel", ["reference", "gemm"])
+@pytest.fixture(params=["reference", "gemm"])
+def kernel(request):
+    """Run the test's convs through the oracle or the GEMM lowering."""
+    with reference_convs() if request.param == "reference" else nullcontext():
+        yield
+
+
 class TestFiniteDifference:
     def test_conv2d(self, kernel):
         for padding in ("same", "valid"):
-            layer = Conv2D(2, (3, 3), padding=padding, kernel=kernel)
+            layer = Conv2D(2, (3, 3), padding=padding)
             layer.build((4, 4, 2), np.random.default_rng(0))
             _check_gradients(
                 layer, np.random.default_rng(1).normal(size=(2, 4, 4, 2))
             )
 
     def test_conv2d_pointwise(self, kernel):
-        layer = Conv2D(3, (1, 1), kernel=kernel)
+        layer = Conv2D(3, (1, 1))
         layer.build((3, 3, 2), np.random.default_rng(0))
         _check_gradients(layer, np.random.default_rng(2).normal(size=(2, 3, 3, 2)))
 
     def test_conv1d(self, kernel):
         for padding in ("same", "valid"):
-            layer = Conv1D(3, 3, padding=padding, kernel=kernel)
+            layer = Conv1D(3, 3, padding=padding)
             layer.build((7, 2), np.random.default_rng(0))
             _check_gradients(layer, np.random.default_rng(3).normal(size=(2, 7, 2)))
 
-    def test_maxpool2d(self, kernel):
-        with policy_scope(conv_kernel=kernel):
-            layer = MaxPool2D(2)
-            _check_gradients(
-                layer, np.random.default_rng(4).normal(size=(2, 4, 4, 2))
-            )
+    def test_maxpool2d(self):
+        layer = MaxPool2D(2)
+        _check_gradients(layer, np.random.default_rng(4).normal(size=(2, 4, 4, 2)))
 
-    def test_maxpool1d(self, kernel):
-        with policy_scope(conv_kernel=kernel):
-            layer = MaxPool1D(2)
-            _check_gradients(layer, np.random.default_rng(5).normal(size=(2, 6, 2)))
+    def test_maxpool1d(self):
+        layer = MaxPool1D(2)
+        _check_gradients(layer, np.random.default_rng(5).normal(size=(2, 6, 2)))
 
-    def test_dense(self, kernel):
-        with policy_scope(conv_kernel=kernel):
-            layer = Dense(3)
-            layer.build((5,), np.random.default_rng(0))
-            _check_gradients(layer, np.random.default_rng(6).normal(size=(3, 5)))
+    def test_dense(self):
+        layer = Dense(3)
+        layer.build((5,), np.random.default_rng(0))
+        _check_gradients(layer, np.random.default_rng(6).normal(size=(3, 5)))

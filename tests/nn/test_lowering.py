@@ -74,7 +74,7 @@ def _spec_id(spec):
 
 def _layer(spec, dtype, seed=0):
     kind, filters, kernel, padding, shape = spec
-    with policy_scope(compute_dtype=dtype, conv_kernel="gemm"):
+    with policy_scope(compute_dtype=dtype):
         if kind == "2d":
             layer = Conv2D(filters, kernel, padding)
         else:

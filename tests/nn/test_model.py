@@ -168,6 +168,16 @@ class TestSequential:
         assert loss == expected_loss
         assert acc == float(np.mean(np.argmax(proba, axis=1) == y))
 
+    def test_zero_rows_answer_empty(self):
+        from repro.attack.models import build_feature_cnn
+
+        model = build_feature_cnn(4, width_scale=0.1, seed=0)
+        X = np.random.default_rng(0).normal(size=(16, 24, 1))
+        model.fit(X, np.arange(16) % 4, epochs=1, batch_size=8)
+        proba = model.predict_proba(X[:0])
+        assert proba.shape == (0, 4) and proba.dtype == np.float64
+        assert model.predict(X[:0]).shape == (0,)
+
     def test_fit_records_layer_spans(self):
         from repro.obs import reset_observability, tracer
 

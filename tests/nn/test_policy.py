@@ -1,4 +1,4 @@
-"""Tests for the repro.nn precision/kernel policy."""
+"""Tests for the repro.nn precision policy."""
 
 import numpy as np
 import pytest
@@ -20,15 +20,12 @@ def _restore_policy():
     """Every test leaves the process-wide policy exactly as it found it."""
     before = get_policy()
     yield
-    set_policy(
-        compute_dtype=before.compute_dtype, conv_kernel=before.conv_kernel
-    )
+    set_policy(compute_dtype=before.compute_dtype)
 
 
 class TestPolicyObject:
     def test_default_is_float64_gemm(self):
         assert DEFAULT_POLICY.compute_dtype == np.dtype(np.float64)
-        assert DEFAULT_POLICY.conv_kernel == "gemm"
 
     def test_invalid_dtype_rejected(self):
         with pytest.raises(ValueError, match="compute_dtype"):
@@ -36,20 +33,17 @@ class TestPolicyObject:
         with pytest.raises(ValueError, match="compute_dtype"):
             set_policy(compute_dtype=np.int32)
 
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError, match="conv_kernel"):
-            set_policy(conv_kernel="fft")
-
     def test_set_policy_partial_update(self):
         set_policy(compute_dtype="float32")
         assert get_policy().compute_dtype == np.dtype(np.float32)
-        assert get_policy().conv_kernel == "gemm"  # untouched
+        set_policy()  # None keeps the field as is
+        assert get_policy().compute_dtype == np.dtype(np.float32)
 
     def test_policy_scope_restores_on_exit(self):
         before = get_policy()
-        with policy_scope(compute_dtype="float32", conv_kernel="reference") as p:
+        with policy_scope(compute_dtype="float32") as p:
             assert p.compute_dtype == np.dtype(np.float32)
-            assert get_policy().conv_kernel == "reference"
+            assert get_policy() == p
         assert get_policy() == before
 
     def test_policy_scope_restores_on_error(self):
@@ -146,11 +140,8 @@ class TestCLIWiring:
     def test_cli_flags_set_policy(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["--scenario", "x", "--nn-dtype", "float32", "--nn-kernel", "reference"]
-        )
+        args = build_parser().parse_args(["--scenario", "x", "--nn-dtype", "float32"])
         assert args.nn_dtype == "float32"
-        assert args.nn_kernel == "reference"
 
     def test_cli_rejects_unknown_dtype(self):
         from repro.cli import build_parser

@@ -7,8 +7,12 @@ import pytest
 
 from repro.serve.bundle import (
     BUNDLE_FORMAT_VERSION,
+    CNN_CONFIG_MEMBER,
+    MANIFEST_MEMBER,
     BundleError,
     ModelBundle,
+    _manifest_bytes,
+    _sha256,
     load_bundle,
     save_bundle,
     verify_bundle,
@@ -68,9 +72,38 @@ class TestRoundTrip:
             assert meta["bytes"] > 0
 
     def test_cnn_policy_recorded(self, packed_bundle):
-        manifest, _ = verify_bundle(packed_bundle)
-        assert manifest.nn_policy["compute_dtype"] in ("float64", "float32")
-        assert manifest.nn_policy["conv_kernel"] in ("gemm", "reference")
+        manifest, members = verify_bundle(packed_bundle)
+        config_policy = json.loads(members[CNN_CONFIG_MEMBER])["policy"]
+        for policy in (manifest.nn_policy, config_policy):
+            assert policy["compute_dtype"] in ("float64", "float32")
+            assert "conv_kernel" not in policy
+
+    def test_bundle_recording_a_conv_kernel_still_loads(
+        self, tmp_path, packed_bundle, blob_data
+    ):
+        """Bundles packed while the policy also named a conv kernel load as before."""
+        X, _ = blob_data
+        manifest, members = verify_bundle(packed_bundle)
+        config = json.loads(members[CNN_CONFIG_MEMBER])
+        config["policy"]["conv_kernel"] = "reference"
+        members[CNN_CONFIG_MEMBER] = json.dumps(config).encode()
+        manifest.nn_policy["conv_kernel"] = "reference"
+        manifest.members = {
+            name: {"sha256": _sha256(data), "bytes": len(data)}
+            for name, data in sorted(members.items())
+        }
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / MANIFEST_MEMBER).write_bytes(_manifest_bytes(manifest))
+        for name, data in members.items():
+            (old / name).write_bytes(data)
+        loaded, fresh = load_bundle(old), load_bundle(packed_bundle)
+        assert loaded.manifest.nn_policy["conv_kernel"] == "reference"
+        for role in ("cnn", "classifier"):
+            assert (
+                loaded.predict_proba_with(role, X).tobytes()
+                == fresh.predict_proba_with(role, X).tobytes()
+            )
 
 
 class TestCreateValidation:
