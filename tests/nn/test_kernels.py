@@ -181,7 +181,8 @@ def _check_gradients(layer, x, atol=1e-5):
 
 @pytest.fixture(params=["reference", "gemm"])
 def kernel(request):
-    """Run the test's convs through the oracle or the GEMM lowering."""
+    """Run the test under the oracle convs or the GEMM lowering; the
+    pooling and dense checks must hold with either swapped in."""
     with reference_convs() if request.param == "reference" else nullcontext():
         yield
 
@@ -206,15 +207,15 @@ class TestFiniteDifference:
             layer.build((7, 2), np.random.default_rng(0))
             _check_gradients(layer, np.random.default_rng(3).normal(size=(2, 7, 2)))
 
-    def test_maxpool2d(self):
+    def test_maxpool2d(self, kernel):
         layer = MaxPool2D(2)
         _check_gradients(layer, np.random.default_rng(4).normal(size=(2, 4, 4, 2)))
 
-    def test_maxpool1d(self):
+    def test_maxpool1d(self, kernel):
         layer = MaxPool1D(2)
         _check_gradients(layer, np.random.default_rng(5).normal(size=(2, 6, 2)))
 
-    def test_dense(self):
+    def test_dense(self, kernel):
         layer = Dense(3)
         layer.build((5,), np.random.default_rng(0))
         _check_gradients(layer, np.random.default_rng(6).normal(size=(3, 5)))
