@@ -51,7 +51,7 @@ from repro.attack.features import FEATURE_NAMES, extract_features_batch
 from repro.attack.labeling import LABELING_VERSION, label_regions, match_regions
 from repro.attack.regions import Region, RegionDetector
 from repro.attack.specimages import region_spectrogram_images_batch
-from repro.batch import batch_dtype
+from repro.batch import UtteranceBatch, batch_dtype
 from repro.datasets import base as datasets_base
 from repro.datasets.base import Corpus, UtteranceSpec, resolve_task
 from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase_batch
@@ -336,8 +336,7 @@ def _detect_chunk(
             audios = [corpus.render(spec) for spec in specs]
 
     # Pad with silence so the detector sees the noise floor.
-    pad = np.zeros(int(_UTTERANCE_PAD_S * corpus.audio_fs))
-    audios = [np.concatenate([pad, audio, pad]) for audio in audios]
+    pad = int(_UTTERANCE_PAD_S * corpus.audio_fs)
 
     with trace("transmit", n=n, metric_labels={}):
         if config.channel.placement is Placement.HANDHELD:
@@ -348,10 +347,11 @@ def _detect_chunk(
             for index, audio, rng in zip(indices, audios, rngs):
                 channel = copy.deepcopy(config.channel)
                 channel.reseed(int(config.seed & 0xFFFFFF) * 1000003 + index)
-                signals.append(channel.transmit(audio, corpus.audio_fs, rng))
+                signals.append(channel.transmit(np.pad(audio, pad), corpus.audio_fs, rng))
         else:
-            # Table-top transmission is stateless given each row's RNG.
-            signals = config.channel.transmit_batch(audios, corpus.audio_fs, rngs)
+            # Table-top transmission is stateless given each row's RNG;
+            # the chunk is padded as it is stacked.
+            signals = config.channel.transmit_batch(audios, corpus.audio_fs, rngs, pad=pad)
 
     fs = config.channel.accel_fs
     if config.defense is not None:
@@ -398,9 +398,10 @@ def _products(
         long_rows = [j for j, samples in enumerate(feat_rows) if samples.size > 32]
         if long_rows:
             sos = cached_butter_highpass(config.feature_highpass_hz, fs, order=4)
-            filtered = sosfilt_zero_phase_batch(sos, [feat_rows[j] for j in long_rows])
-            for j, samples in zip(long_rows, filtered):
-                feat_rows[j] = samples
+            batch = UtteranceBatch.pack([feat_rows[j] for j in long_rows], dtype=float)
+            filtered = sosfilt_zero_phase_batch(sos, batch.data, batch.lengths)
+            for j, samples, size in zip(long_rows, filtered, batch.lengths):
+                feat_rows[j] = samples[:size]
     features: List[Optional[np.ndarray]] = [None] * len(regions)
     if feat_rows:
         matrix = extract_features_batch(feat_rows, fs, dtype=config.dtype)

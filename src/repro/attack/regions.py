@@ -243,9 +243,8 @@ class RegionDetector:
             long_rows = np.flatnonzero(lengths > 32)
             if long_rows.size:
                 sos = cached_butter_highpass(self.highpass_hz, fs, order=4)
-                filtered = sosfilt_zero_phase_batch(sos, [x[r, : lengths[r]] for r in long_rows])
-                for r, y in zip(long_rows, filtered):
-                    x[r, : lengths[r]] = y
+                filtered = sosfilt_zero_phase_batch(sos, x[long_rows], lengths[long_rows])
+                x[long_rows, : filtered.shape[1]] = filtered
         window = max(3, int(round(self.envelope_window_s * fs)))
         short = [(r, x[r, : lengths[r]].copy()) for r in np.flatnonzero(lengths < window)]
         np.square(x, out=x)

@@ -15,6 +15,7 @@ analysis in the paper).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 from scipy import signal as _signal
@@ -26,6 +27,7 @@ __all__ = [
     "cached_butter_highpass",
     "sosfilt_zero_phase",
     "sosfilt_zero_phase_batch",
+    "zero_phase_edge",
     "highpass",
     "lowpass",
     "bandpass",
@@ -35,9 +37,7 @@ __all__ = [
 def _check_cutoff(cutoff_hz: float, fs: float) -> None:
     nyquist = 0.5 * fs
     if not 0.0 < cutoff_hz < nyquist:
-        raise ValueError(
-            f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) for fs={fs} Hz"
-        )
+        raise ValueError(f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) for fs={fs} Hz")
 
 
 def butter_highpass(cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
@@ -71,38 +71,39 @@ def butter_lowpass(cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
     return _signal.butter(order, cutoff_hz, btype="lowpass", fs=fs, output="sos")
 
 
-def butter_bandpass(
-    low_hz: float, high_hz: float, fs: float, order: int = 2
-) -> np.ndarray:
+def butter_bandpass(low_hz: float, high_hz: float, fs: float, order: int = 2) -> np.ndarray:
     """Design a Butterworth band-pass filter, returned as SOS sections."""
     _check_cutoff(low_hz, fs)
     _check_cutoff(high_hz, fs)
     if low_hz >= high_hz:
         raise ValueError(f"band edges must satisfy low < high, got {low_hz} >= {high_hz}")
-    return _signal.butter(
-        order, (low_hz, high_hz), btype="bandpass", fs=fs, output="sos"
-    )
+    return _signal.butter(order, (low_hz, high_hz), btype="bandpass", fs=fs, output="sos")
 
 
-#: Per-coefficient-set state for the zero-phase fast path: the odd-ext
-#: edge length and the steady-state initial conditions. ``sosfilt_zi``
-#: solves a small linear system, which dominates ``sosfiltfilt``'s
-#: per-call overhead when the same filter runs over hundreds of rows.
-_ZERO_PHASE_CACHE: dict = {}
+def _zero_phase_state(sos: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The odd-extension edge length and steady-state ``zi`` of ``sos``."""
+    return _zero_phase_solve(np.ascontiguousarray(sos, dtype=float).tobytes())
 
 
-def _zero_phase_state(sos: np.ndarray):
-    key = sos.tobytes()
-    entry = _ZERO_PHASE_CACHE.get(key)
-    if entry is None:
-        n_sections = sos.shape[0]
-        ntaps = 2 * n_sections + 1
-        ntaps -= min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
-        zi = _signal.sosfilt_zi(sos)
-        zi.setflags(write=False)
-        entry = (3 * ntaps, zi)
-        _ZERO_PHASE_CACHE[key] = entry
-    return entry
+#: Keyed by the SOS bytes. ``sosfilt_zi`` solves a small linear system,
+#: which dominates ``sosfiltfilt``'s per-call overhead when the same
+#: filter runs over hundreds of rows. Bounded, least recently used first
+#: out, so a long-lived sweep or server that designs many filters does
+#: not grow it without limit; eviction only forces a deterministic
+#: re-solve, so the cap cannot change any value.
+@lru_cache(maxsize=64)
+def _zero_phase_solve(key: bytes) -> Tuple[int, np.ndarray]:
+    sos = np.frombuffer(key).reshape(-1, 6)
+    ntaps = 2 * sos.shape[0] + 1
+    ntaps -= min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
+    zi = _signal.sosfilt_zi(sos)
+    zi.setflags(write=False)
+    return 3 * ntaps, zi
+
+
+def zero_phase_edge(sos: np.ndarray) -> int:
+    """Samples of odd extension :func:`sosfilt_zero_phase_batch` adds per side."""
+    return _zero_phase_state(sos)[0]
 
 
 def sosfilt_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -114,103 +115,84 @@ def sosfilt_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     bitwise what sosfiltfilt returns, but the expensive ``sosfilt_zi``
     solve is computed once per coefficient set instead of once per call.
     Falls back to single-pass filtering for signals too short for the
-    edge padding.
+    edge padding. The one-row case of :func:`sosfilt_zero_phase_batch`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
-    pad = 3 * (sos.shape[0] * 2 + 1)
-    if x.size <= pad:
-        return _signal.sosfilt(sos, x)
-    edge, zi = _zero_phase_state(sos)
-    left = 2 * x[:1] - x[edge:0:-1]
-    right = 2 * x[-1:] - x[-2 : -(edge + 2) : -1]
-    ext = np.concatenate((left, x, right))
-    y, _ = _signal.sosfilt(sos, ext, zi=zi * ext[:1])
-    y, _ = _signal.sosfilt(sos, y[::-1], zi=zi * y[-1:])
-    y = y[::-1]
-    if edge > 0:
-        y = y[edge:-edge]
-    return y
+    return sosfilt_zero_phase_batch(sos, x[None], [x.size])[0]
 
 
-def _length_buckets(sizes, max_ratio: float = 1.3) -> list:
-    """Group indices by size so padded stacks waste bounded work.
+def sosfilt_zero_phase_batch(sos: np.ndarray, x: np.ndarray, lengths, lead: int = 0) -> np.ndarray:
+    """Zero-phase filter every row of a ragged stack with two causal passes.
 
-    One stack padded to the longest row pays for every shorter row's
-    padding; sorting the rows and splitting whenever a row exceeds
-    ``max_ratio`` times its bucket's shortest keeps that waste under
-    ~30% per bucket while still batching near-equal rows together.
+    Row ``r`` of the input is ``x[r, lead : lead + lengths[r]]``. Returns
+    a ``(rows, max(lengths))`` float64 stack holding row ``r``'s output in
+    ``[:lengths[r]]`` and zeros after it; each row is bitwise
+    :func:`sosfilt_zero_phase` of that row alone.
+
+    Zero-phase filtering is not pad-safe *as a whole* (the odd extension
+    and the reverse pass depend on where each signal ends), but each of
+    its two ``sosfilt`` passes is causal, so rows of different lengths
+    share one stacked call per direction: trailing columns never reach
+    back into a row's valid prefix, and per-row initial conditions ride
+    along on the stacked ``zi`` axis. The odd extensions are written
+    into the stack around each row, and each pass's reversal is one
+    slice copy per row into the other pass's buffer.
+
+    When the rows sit at least :func:`zero_phase_edge` columns in from
+    both sides of ``x`` (``lead`` and after every row's end), ``x`` is
+    scratch: the extensions are written around the rows in place and the
+    forward pass reads ``x`` itself. Otherwise the rows are copied once
+    into a fresh buffer and ``x`` is left untouched.
     """
-    order = sorted(range(len(sizes)), key=sizes.__getitem__)
-    buckets = [[order[0]]]
-    for i in order[1:]:
-        if sizes[i] > max_ratio * sizes[buckets[-1][0]]:
-            buckets.append([i])
-        else:
-            buckets[-1].append(i)
-    return buckets
-
-
-def sosfilt_zero_phase_batch(sos: np.ndarray, xs) -> list:
-    """Zero-phase filter many 1-D signals with two stacked causal passes.
-
-    Each row's output is bitwise :func:`sosfilt_zero_phase` of that row
-    alone. Zero-phase filtering is not pad-safe *as a whole* (the odd
-    extension and the reverse pass depend on where each signal ends),
-    but each of its two constituent ``sosfilt`` passes is causal, so
-    rows of different lengths can share one stacked call per direction:
-    trailing zero padding never reaches back into a row's valid prefix,
-    and per-row initial conditions ride along on the stacked ``zi``
-    axis. This collapses ``2 * len(xs)`` filter calls into two.
-    """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    for i, x in enumerate(xs):
-        if x.ndim != 1:
-            raise ValueError(f"signal {i} must be 1-D, got shape {x.shape}")
-    results: list = [None] * len(xs)
-    pad = 3 * (sos.shape[0] * 2 + 1)
-    live = []
-    for i, x in enumerate(xs):
-        if x.size <= pad:
-            results[i] = _signal.sosfilt(sos, x)
-        else:
-            live.append(i)
-    if not live:
-        return results
-    if len(live) == 1:
-        results[live[0]] = sosfilt_zero_phase(sos, xs[live[0]])
-        return results
-
+    x = np.asarray(x, dtype=float)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if x.ndim != 2 or lengths.shape != x.shape[:1]:
+        raise ValueError(
+            f"expected a (rows, width) stack and one length per row, got "
+            f"shapes {x.shape} and {lengths.shape}"
+        )
+    width = int(lengths.max()) if lengths.size else 0
+    if lead < 0 or (lengths.size and (lengths.min() < 0 or lead + width > x.shape[1])):
+        raise ValueError("every row must lie inside the stack")
+    threshold = 3 * (2 * sos.shape[0] + 1)
+    live = np.flatnonzero(lengths > threshold)
+    out = None if 0 < live.size == lengths.size else np.zeros((lengths.size, width))
+    # Rows too short for the edge padding take one causal pass.
+    short = np.flatnonzero((lengths > 0) & (lengths <= threshold))
+    if short.size:
+        y = _signal.sosfilt(sos, x[short, lead : lead + int(lengths[short].max())])
+        for r, row in zip(short, y):
+            out[r, : lengths[r]] = row[: lengths[r]]
+    if not live.size:
+        return out
     edge, zi = _zero_phase_state(sos)
-    exts = []
-    for i in live:
-        x = xs[i]
-        left = 2 * x[:1] - x[edge:0:-1]
-        right = 2 * x[-1:] - x[-2 : -(edge + 2) : -1]
-        exts.append(np.concatenate((left, x, right)))
-    sizes = [e.size for e in exts]
-    for bucket in _length_buckets(sizes):
-        width = sizes[bucket[-1]]
-        k = len(bucket)
-        stack = np.zeros((k, width))
-        heads = np.empty(k)
-        for r, j in enumerate(bucket):
-            stack[r, : sizes[j]] = exts[j]
-            heads[r] = exts[j][0]
-        fwd, _ = _signal.sosfilt(
-            sos, stack, axis=-1, zi=zi[:, None, :] * heads[None, :, None]
-        )
-        rev = np.zeros((k, width))
-        for r, j in enumerate(bucket):
-            rev[r, : sizes[j]] = fwd[r, : sizes[j]][::-1]
-            heads[r] = fwd[r, sizes[j] - 1]
-        bwd, _ = _signal.sosfilt(
-            sos, rev, axis=-1, zi=zi[:, None, :] * heads[None, :, None]
-        )
-        for r, j in enumerate(bucket):
-            results[live[j]] = bwd[r, : sizes[j]][::-1][edge:-edge]
-    return results
+    n = lengths[live]
+    ends = edge + n
+    if lead >= edge and int(ends.max()) + edge <= x.shape[1] - (lead - edge):
+        ext = x[:, lead - edge :] if out is None else x[live, lead - edge :]
+    else:
+        ext = np.zeros((live.size, width + 2 * edge))
+        ext[:, edge : edge + width] = x[live, lead : lead + width]
+    # Odd extensions: 2 * x[0] - x[edge:0:-1] on the left and
+    # 2 * x[-1] - x[-2:-(edge + 2):-1] on the right of every row.
+    k = np.arange(edge)
+    rows = np.arange(live.size)[:, None]
+    right, mirror = ends[:, None] + k, ends[:, None] - 2 - k
+    ext[:, :edge] = 2 * ext[:, edge : edge + 1] - ext[:, 2 * edge : edge : -1]
+    ext[rows, right] = 2 * ext[rows, ends[:, None] - 1] - ext[rows, mirror]
+    fwd, _ = _signal.sosfilt(sos, ext, axis=-1, zi=zi[:, None, :] * ext[None, :, :1])
+    for i, e in enumerate(ends + edge):
+        ext[i, :e] = fwd[i, e - 1 :: -1]
+    bwd, _ = _signal.sosfilt(sos, ext, axis=-1, zi=zi[:, None, :] * ext[None, :, :1])
+    if out is None:
+        # Every row is live: the forward pass's buffer is free to reuse.
+        out = fwd[:, :width]
+    for r, row, m in zip(live, bwd, n):
+        out[r, :m] = row[edge : edge + m][::-1]
+        out[r, m:] = 0.0
+    return out
 
 
 def highpass(x: np.ndarray, cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
@@ -223,8 +205,6 @@ def lowpass(x: np.ndarray, cutoff_hz: float, fs: float, order: int = 4) -> np.nd
     return sosfilt_zero_phase(butter_lowpass(cutoff_hz, fs, order), x)
 
 
-def bandpass(
-    x: np.ndarray, low_hz: float, high_hz: float, fs: float, order: int = 2
-) -> np.ndarray:
+def bandpass(x: np.ndarray, low_hz: float, high_hz: float, fs: float, order: int = 2) -> np.ndarray:
     """Zero-phase Butterworth band-pass of a 1-D signal."""
     return sosfilt_zero_phase(butter_bandpass(low_hz, high_hz, fs, order), x)

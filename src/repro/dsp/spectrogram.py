@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dsp.stft import frame_signal, stft
+from repro.dsp.stft import stft
 from repro.dsp.windows import get_window
 
 __all__ = [
@@ -120,6 +120,23 @@ def _normalise(images: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return out.astype(dtype, copy=False)
 
 
+def _frame_rows(rows: Sequence[np.ndarray], fl: int, hl: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's ``frame_signal(row, fl, hl, pad=True)``, concatenated.
+
+    One gather from the sliding windows of a zero-padded row stack;
+    returns the ``(frames, fl)`` matrix and each row's frame count.
+    """
+    sizes = np.array([row.size for row in rows])
+    counts = 1 + np.ceil((np.maximum(sizes, fl) - fl) / hl).astype(np.intp)
+    stack = np.zeros((len(rows), (int(counts.max()) - 1) * hl + fl))
+    for padded, row in zip(stack, rows):
+        padded[: row.size] = row
+    owner = np.repeat(np.arange(len(rows)), counts)
+    frame = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    windows = np.lib.stride_tricks.sliding_window_view(stack, fl, axis=1)[:, ::hl]
+    return windows[owner, frame], counts
+
+
 def resize_image(image: np.ndarray, out_shape: Tuple[int, int]) -> np.ndarray:
     """Bilinear resize of a 2-D array to ``out_shape = (rows, cols)``."""
     image = np.asarray(image, dtype=float)
@@ -159,7 +176,7 @@ def spectrogram_image_batch(
     """:func:`spectrogram_image` of every row of a ragged list.
 
     Rows are grouped by their effective ``(frame_length, hop_length)``
-    (both depend on row length). Each group's frames are concatenated
+    (both depend on row length). Each group's frames are gathered
     into one matrix and transformed with a single ``rfft`` call; the dB
     compression, bilinear resize and normalisation then run as array
     operations over the group's power matrix, each row against its own
@@ -178,9 +195,7 @@ def spectrogram_image_batch(
         hl = max(1, min(hop_length, fl // 2))
         groups.setdefault((fl, hl), []).append(i)
     for (fl, hl), idxs in groups.items():
-        frames_list = [frame_signal(arrays[i], fl, hl, pad=True) for i in idxs]
-        counts = [f.shape[0] for f in frames_list]
-        all_frames = np.concatenate(frames_list, axis=0)
+        all_frames, counts = _frame_rows([arrays[i] for i in idxs], fl, hl)
         win = get_window(window, fl)
         if out_dtype == np.dtype(np.float32):
             all_frames = all_frames.astype(np.float32)

@@ -40,8 +40,12 @@ __all__ = [
     "merge_worker_trace",
 ]
 
+#: Root spans the process tracer keeps: a server records one per batch
+#: for as long as it runs, so the process keeps a ring of recent ones.
+PROCESS_MAX_ROOTS = 1024
+
 _REGISTRY = MetricsRegistry()
-_TRACER = Tracer(registry=_REGISTRY)
+_TRACER = Tracer(registry=_REGISTRY, max_roots=PROCESS_MAX_ROOTS)
 
 #: Per-thread override installed by :func:`capture_observability`.
 _ACTIVE = threading.local()

@@ -22,9 +22,10 @@ import itertools
 import json
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -89,12 +90,24 @@ class Tracer:
         Optional :class:`MetricsRegistry`; every finished span records a
         timer observation named after the span (label ``status`` plus
         the span's own metric labels).
+    max_roots:
+        ``None`` keeps every finished top-level span (each with its
+        subtree), as a worker capture must until it is merged. A number
+        keeps a ring of that many recent roots, so a long-lived process's
+        per-batch spans hold bounded memory: older roots are dropped and
+        counted in :attr:`dropped_roots`, and timer observations are
+        recorded either way.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
+    def __init__(
+        self, registry: Optional[MetricsRegistry] = None, max_roots: Optional[int] = None
+    ):
+        if max_roots is not None and max_roots < 1:
+            raise ValueError(f"max_roots must be positive, got {max_roots}")
         self.registry = registry
         self._lock = threading.Lock()
-        self._roots: List[Span] = []
+        self._roots: Deque[Span] = deque(maxlen=max_roots)
+        self.dropped_roots = 0
         self._local = threading.local()
 
     # -- span lifecycle -----------------------------------------------------
@@ -193,6 +206,8 @@ class Tracer:
             parent.children.append(span)
         else:
             with self._lock:
+                if len(self._roots) == self._roots.maxlen:
+                    self.dropped_roots += 1
                 self._roots.append(span)
 
     def _observe(self, span: Span, metric_labels: Optional[Dict[str, Any]]) -> None:
@@ -224,6 +239,7 @@ class Tracer:
         """Drop finished spans (open spans on any thread are unaffected)."""
         with self._lock:
             self._roots.clear()
+            self.dropped_roots = 0
 
     # -- export -------------------------------------------------------------
     def to_jsonl(self) -> str:

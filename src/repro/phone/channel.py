@@ -16,16 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
-from repro.dsp.filters import (
-    _length_buckets,
-    cached_butter_highpass,
-    sosfilt_zero_phase_batch,
-)
 from repro.phone.accelerometer import Accelerometer
 from repro.phone.chassis import ChassisTransfer
 from repro.phone.devices import DeviceProfile, get_device
@@ -109,18 +103,14 @@ class VibrationChannel:
 
             self._accel = Gyroscope(fs=fs_out)
         else:
-            raise ValueError(
-                f"sensor must be 'accelerometer' or 'gyroscope', got {self.sensor!r}"
-            )
+            raise ValueError(f"sensor must be 'accelerometer' or 'gyroscope', got {self.sensor!r}")
         if isinstance(self.environment, str):
             from repro.phone.environment import get_environment
 
             self.environment = get_environment(self.environment)
         self._motion_config = HandheldMotion()
         self._rng = np.random.default_rng(self.seed)
-        self._motion = MotionProcess(
-            self._motion_config, np.random.default_rng(self.seed + 101)
-        )
+        self._motion = MotionProcess(self._motion_config, np.random.default_rng(self.seed + 101))
 
     @property
     def accel_fs(self) -> float:
@@ -130,9 +120,7 @@ class VibrationChannel:
     def reseed(self, seed: int) -> None:
         """Reset the channel noise RNG and motion process (new session)."""
         self._rng = np.random.default_rng(seed)
-        self._motion = MotionProcess(
-            self._motion_config, np.random.default_rng(seed + 101)
-        )
+        self._motion = MotionProcess(self._motion_config, np.random.default_rng(seed + 101))
 
     def transmit(
         self,
@@ -167,16 +155,22 @@ class VibrationChannel:
         audios: Sequence[np.ndarray],
         audio_fs: float,
         rngs: Sequence[np.random.Generator],
+        pad: int = 0,
     ) -> List[np.ndarray]:
         """Batched :meth:`transmit`, byte-identical per row.
 
-        Each row keeps its own generator (matching the engine's
-        per-utterance RNG derivation), the speaker rolloff runs as two
-        stacked causal passes over all rows
-        (:func:`repro.dsp.filters.sosfilt_zero_phase_batch`), and the
-        compression nonlinearity plus the causal chassis biquad run once
-        over the padded stack. The sensor front end stays per row
-        because it draws from the row's generator.
+        Row ``i`` plays ``audios[i]`` framed by ``pad`` samples of silence
+        on each side — ``transmit(np.pad(audios[i], pad), audio_fs,
+        rngs[i])`` — and draws only from its own generator ``rngs[i]``
+        (the engine's per-utterance RNG derivation). The chunk is one
+        vibration stack with its rows ordered by length; runs of
+        near-equal rows share a drive stack
+        (:meth:`~repro.phone.speaker.SpeakerModel.drive_batch`: each row
+        copied once, then the roll-off, compression and gain in place),
+        and the chassis biquad mixes each run straight into its block of
+        the vibration stack. The sensor front end then draws each row's
+        noise from its generator and samples the whole stack at once;
+        each trace is a view of one output stack.
 
         Handheld placement is rejected: the motion process is stateful
         across calls, so the engine routes those rows through per-row
@@ -189,62 +183,48 @@ class VibrationChannel:
             )
         if len(audios) != len(rngs):
             raise ValueError("audios and rngs must have the same length")
+        if len({id(rng) for rng in rngs}) != len(rngs):
+            raise ValueError("every row needs its own generator")
         audios = [np.asarray(a, dtype=float) for a in audios]
         for i, audio in enumerate(audios):
             if audio.ndim != 1:
                 raise ValueError(f"audio {i} must be 1-D, got shape {audio.shape}")
-        traces: List[Optional[np.ndarray]] = [None] * len(audios)
-        work = [i for i in range(len(audios)) if audios[i].size > 0]
-        for i in range(len(audios)):
-            if audios[i].size == 0:
-                traces[i] = self.transmit(audios[i], audio_fs, rngs[i])
-        if not work:
-            return traces  # type: ignore[return-value]
+        if pad < 0:
+            raise ValueError(f"pad must be non-negative, got {pad}")
+        order = sorted(range(len(audios)), key=lambda i: audios[i].size)
+        lengths = np.array([audios[i].size + 2 * pad for i in order], dtype=np.intp)
+        vibration = np.zeros((lengths.size, int(lengths[-1]) if lengths.size else 0))
+        for start, stop in _length_runs(lengths):
+            if lengths[start]:
+                rows = order[start:stop]
+                force = self._speaker.drive_batch([audios[i] for i in rows], audio_fs, pad)
+                block = vibration[start:stop, : force.shape[1]]
+                self._chassis.transfer_stack(force, audio_fs, out=block)
+        sorted_rngs = [rngs[i] for i in order]
+        slow = None
+        if self.environment is not None:
+            slow = (
+                self.environment.noise(int(n), audio_fs, rng)
+                for n, rng in zip(lengths, sorted_rngs)
+            )
+        traces = self._accel.sample_stack(vibration, lengths, audio_fs, sorted_rngs, slow)
+        return [traces[k] for k in np.argsort(order)]
 
-        lengths = [audios[i].size for i in work]
-        speaker = self._speaker
-        if 0 < speaker.rolloff_hz < 0.45 * audio_fs:
-            sos = cached_butter_highpass(speaker.rolloff_hz, audio_fs, order=2)
-            rolled = sosfilt_zero_phase_batch(sos, [audios[i] for i in work])
-        else:
-            rolled = [audios[i] for i in work]
 
-        chassis = self._chassis
-        f0 = min(chassis.resonance_hz, 0.45 * audio_fs)
-        w0 = 2.0 * np.pi * f0 / audio_fs
-        q = max(chassis.q_factor, 0.3)
-        alpha = np.sin(w0) / (2.0 * q)
-        b = np.array([alpha, 0.0, -alpha])
-        a = np.array([1.0 + alpha, -2.0 * np.cos(w0), 1.0 - alpha])
+def _length_runs(sizes: np.ndarray, max_ratio: float = 1.3) -> List[Tuple[int, int]]:
+    """``[start, stop)`` runs of ascending ``sizes`` that share a stack.
 
-        # Stack rows in length buckets: the compression tanh and the
-        # chassis biquad cost per padded sample, so near-equal rows
-        # share a stack while outliers get their own.
-        vib_rows: List[Optional[np.ndarray]] = [None] * len(work)
-        for bucket in _length_buckets(lengths):
-            stack = np.zeros((len(bucket), lengths[bucket[-1]]))
-            for s, r in enumerate(bucket):
-                stack[s, : lengths[r]] = rolled[r]
-            if speaker.compression > 0:
-                knee = max(1e-6, 1.0 - speaker.compression)
-                stack /= knee
-                np.tanh(stack, out=stack)
-                stack *= knee
-            force = speaker.drive_gain * stack
-            # attenuation * (0.6 * resonant + 0.4 * force), in place.
-            vibration = lfilter(b / a[0], a / a[0], force, axis=-1)
-            vibration *= 0.6
-            force *= 0.4
-            vibration += force
-            vibration *= chassis.attenuation
-            for s, r in enumerate(bucket):
-                vib_rows[r] = vibration[s, : lengths[r]]
-
-        for r, i in enumerate(work):
-            vib = vib_rows[r]
-            rng = rngs[i]
-            slow = None
-            if self.environment is not None:
-                slow = self.environment.noise(vib.size, audio_fs, rng)
-            traces[i] = self._accel.sample(vib, audio_fs, rng, slow_component=slow)
-        return traces  # type: ignore[return-value]
+    One stack padded to its longest row pays for every shorter row's
+    padding; splitting the sorted rows whenever a row exceeds
+    ``max_ratio`` times its run's shortest keeps that waste under ~30%
+    per run while still batching near-equal rows together.
+    """
+    runs = []
+    start = 0
+    for i in range(1, len(sizes)):
+        if sizes[i] > max_ratio * sizes[start]:
+            runs.append((start, i))
+            start = i
+    if len(sizes):
+        runs.append((start, len(sizes)))
+    return runs

@@ -17,11 +17,11 @@ ablation can *measure* the design rationale rather than assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dsp.resample import sample_and_decimate
+from repro.phone.accelerometer import digitise_stack
 
 __all__ = ["Gyroscope"]
 
@@ -71,19 +71,23 @@ class Gyroscope:
         vibration = np.asarray(vibration, dtype=float)
         if vibration.ndim != 1:
             raise ValueError(f"expected a 1-D signal, got shape {vibration.shape}")
-        total = self.rotational_coupling * vibration
-        if slow_component is not None:
-            slow_component = np.asarray(slow_component, dtype=float)
-            if slow_component.shape != vibration.shape:
-                raise ValueError(
-                    "slow_component shape "
-                    f"{slow_component.shape} != vibration shape {vibration.shape}"
-                )
-            total = total + self.rotational_coupling * slow_component
-        phase = float(rng.uniform(0.0, 1.0))
-        sampled = sample_and_decimate(total, fs_in, self.fs, phase=phase)
-        if self.noise_rms > 0:
-            sampled = sampled + rng.normal(0.0, self.noise_rms, sampled.size)
-        if self.lsb > 0:
-            sampled = np.round(sampled / self.lsb) * self.lsb
-        return np.clip(sampled, -self.full_scale, self.full_scale)
+        stack = vibration[None].copy()
+        return self.sample_stack(stack, [vibration.size], fs_in, [rng], [slow_component])[0]
+
+    def sample_stack(
+        self,
+        vibration: np.ndarray,
+        lengths,
+        fs_in: float,
+        rngs: Sequence[np.random.Generator],
+        slow: Optional[Iterable[Optional[np.ndarray]]] = None,
+    ) -> List[np.ndarray]:
+        """:meth:`sample` of every row of a ragged ``(rows, width)`` stack.
+
+        See :func:`repro.phone.accelerometer.digitise_stack`; vibration
+        and slow motion are both scaled by the rotational coupling, and
+        no gravity offset is added.
+        """
+        return digitise_stack(
+            self, vibration, lengths, fs_in, rngs, slow, coupling=self.rotational_coupling
+        )

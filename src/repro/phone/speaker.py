@@ -17,10 +17,11 @@ The model captures the three properties that matter for the side channel:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.dsp.filters import highpass
+from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase_batch, zero_phase_edge
 
 __all__ = ["SpeakerModel", "loudspeaker_model", "ear_speaker_model"]
 
@@ -49,15 +50,37 @@ class SpeakerModel:
         audio = np.asarray(audio, dtype=float)
         if audio.ndim != 1:
             raise ValueError(f"expected a 1-D audio signal, got shape {audio.shape}")
-        if audio.size == 0:
-            return audio.copy()
-        shaped = audio
-        if 0 < self.rolloff_hz < 0.45 * fs:
-            shaped = highpass(shaped, self.rolloff_hz, fs, order=2)
+        return self.drive_batch([audio], fs)[0]
+
+    def drive_batch(self, audios: Sequence[np.ndarray], fs: float, pad: int = 0) -> np.ndarray:
+        """:meth:`drive` of every row, each framed by ``pad`` zeros a side.
+
+        Returns a ``(rows, max length)`` force stack; row ``i`` is
+        ``drive(np.pad(audios[i], pad))`` in ``[:audios[i].size + 2 * pad]``,
+        byte for byte, with zeros after it. Each row is copied once, at
+        its silence and odd-extension offset, into one stack that the
+        zero-phase roll-off filters in place; the compression and the
+        drive gain then run in place on the filter's output.
+        """
+        lengths = np.array([np.size(a) + 2 * pad for a in audios], dtype=np.intp)
+        rolloff = 0 < self.rolloff_hz < 0.45 * fs
+        sos = cached_butter_highpass(self.rolloff_hz, fs, order=2) if rolloff else None
+        lead = zero_phase_edge(sos) if rolloff else 0
+        width = int(lengths.max()) if lengths.size else 0
+        stack = np.zeros((lengths.size, lead + width + lead))
+        for row, audio in zip(stack, audios):
+            row[lead + pad : lead + pad + np.size(audio)] = audio
+        if rolloff:
+            shaped = sosfilt_zero_phase_batch(sos, stack, lengths, lead=lead)
+        else:
+            shaped = stack[:, :width]
         if self.compression > 0:
             knee = max(1e-6, 1.0 - self.compression)
-            shaped = np.tanh(shaped / knee) * knee
-        return self.drive_gain * shaped
+            shaped /= knee
+            np.tanh(shaped, out=shaped)
+            shaped *= knee
+        shaped *= self.drive_gain
+        return shaped
 
 
 def loudspeaker_model(gain: float = 1.0) -> SpeakerModel:

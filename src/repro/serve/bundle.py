@@ -44,7 +44,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import time
+import uuid
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -511,6 +513,33 @@ def manifest_sha256(manifest: BundleManifest) -> str:
     return _sha256(_manifest_bytes(manifest))
 
 
+def _write_bundle(path: Path, manifest_bytes: bytes, members: Dict[str, bytes]) -> None:
+    """Write the manifest and ``members`` to ``path`` (``.zip`` or directory).
+
+    A ``.zip`` archive is written to a temporary file beside ``path`` and
+    renamed over it only once complete, so a save that fails midway
+    leaves the previous bundle at ``path`` whole and verifiable. A
+    directory bundle is written member by member in place.
+    """
+    if not _is_zip_path(path):
+        path.mkdir(parents=True, exist_ok=True)
+        (path / MANIFEST_MEMBER).write_bytes(manifest_bytes)
+        for name, data in members.items():
+            (path / name).write_bytes(data)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "x", compression=zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr(MANIFEST_MEMBER, manifest_bytes)
+            for name, data in sorted(members.items()):
+                zf.writestr(name, data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_bundle(bundle: ModelBundle, path: _PathLike) -> BundleManifest:
     """Write a bundle to ``path`` (a directory, or a ``.zip`` archive).
 
@@ -529,18 +558,7 @@ def save_bundle(bundle: ModelBundle, path: _PathLike) -> BundleManifest:
     # A full save is self-contained: never carry a delta pin over from a
     # bundle that was loaded through a delta chain.
     bundle.manifest.delta_base = {}
-    manifest_bytes = _manifest_bytes(bundle.manifest)
-    if _is_zip_path(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-            zf.writestr(MANIFEST_MEMBER, manifest_bytes)
-            for name, data in sorted(members.items()):
-                zf.writestr(name, data)
-    else:
-        path.mkdir(parents=True, exist_ok=True)
-        (path / MANIFEST_MEMBER).write_bytes(manifest_bytes)
-        for name, data in members.items():
-            (path / name).write_bytes(data)
+    _write_bundle(path, _manifest_bytes(bundle.manifest), members)
     return bundle.manifest
 
 
@@ -580,18 +598,7 @@ def save_delta_bundle(
         if str(parent.members.get(name, {}).get("sha256"))
         != bundle.manifest.members[name]["sha256"]
     }
-    manifest_bytes = _manifest_bytes(bundle.manifest)
-    if _is_zip_path(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-            zf.writestr(MANIFEST_MEMBER, manifest_bytes)
-            for name, data in sorted(changed.items()):
-                zf.writestr(name, data)
-    else:
-        path.mkdir(parents=True, exist_ok=True)
-        (path / MANIFEST_MEMBER).write_bytes(manifest_bytes)
-        for name, data in changed.items():
-            (path / name).write_bytes(data)
+    _write_bundle(path, _manifest_bytes(bundle.manifest), changed)
     return bundle.manifest
 
 
@@ -682,16 +689,7 @@ def save_gate_bundle(
         created_unix=time.time(),
         members={GATE_MEMBER: {"sha256": _sha256(data), "bytes": len(data)}},
     )
-    manifest_bytes = _manifest_bytes(manifest)
-    if _is_zip_path(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-            zf.writestr(MANIFEST_MEMBER, manifest_bytes)
-            zf.writestr(GATE_MEMBER, data)
-    else:
-        path.mkdir(parents=True, exist_ok=True)
-        (path / MANIFEST_MEMBER).write_bytes(manifest_bytes)
-        (path / GATE_MEMBER).write_bytes(data)
+    _write_bundle(path, _manifest_bytes(manifest), {GATE_MEMBER: data})
     return manifest
 
 

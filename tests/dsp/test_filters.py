@@ -104,3 +104,31 @@ class TestZeroPhase:
         sos = butter_highpass(8.0, 420.0, order=4)
         y = sosfilt_zero_phase(sos, np.ones(10))
         assert y.shape == (10,)
+
+    def test_matches_scipy_sosfiltfilt(self):
+        from scipy.signal import sosfiltfilt
+
+        sos = butter_highpass(8.0, 420.0, order=4)
+        x = np.random.default_rng(0).normal(size=500)
+        np.testing.assert_allclose(
+            sosfilt_zero_phase(sos, x), sosfiltfilt(sos, x), rtol=0, atol=1e-12
+        )
+
+
+class TestZeroPhaseCache:
+    def test_cache_is_bounded_and_eviction_keeps_bytes(self):
+        """More distinct filters than the cap: the cache stays at the cap,
+        and a filter whose state was evicted filters to the same bytes."""
+        from repro.dsp.filters import _zero_phase_solve
+
+        cap = _zero_phase_solve.cache_info().maxsize
+        _zero_phase_solve.cache_clear()
+        x = np.random.default_rng(1).normal(size=300)
+        first = butter_highpass(5.0, 420.0, order=4)
+        before = sosfilt_zero_phase(first, x).tobytes()
+        for i in range(cap + 10):
+            sosfilt_zero_phase(butter_highpass(6.0 + 0.5 * i, 420.0, order=4), x)
+            assert _zero_phase_solve.cache_info().currsize <= cap
+        misses = _zero_phase_solve.cache_info().misses
+        assert sosfilt_zero_phase(first, x).tobytes() == before
+        assert _zero_phase_solve.cache_info().misses == misses + 1  # it was evicted

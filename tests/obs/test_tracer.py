@@ -125,3 +125,28 @@ class TestExport:
         tracer.clear()
         assert tracer.roots() == []
         assert tracer.render_tree() == "(no spans recorded)"
+
+
+class TestRootRing:
+    def test_keeps_most_recent_roots_and_counts_dropped(self):
+        tracer = Tracer(registry=MetricsRegistry(), max_roots=3)
+        for i in range(5):
+            with tracer.span("root", i=i):
+                with tracer.span("child"):
+                    pass
+        assert [s.labels["i"] for s in tracer.roots()] == [2, 3, 4]
+        assert tracer.dropped_roots == 2
+        assert len(list(tracer.spans())) == 6
+        # Timers see every span, kept or dropped.
+        assert tracer.registry.timer_total("root").count == 5
+        tracer.clear()
+        assert tracer.roots() == [] and tracer.dropped_roots == 0
+
+    def test_unbounded_by_default_and_rejects_empty_ring(self):
+        tracer = Tracer()
+        for _ in range(2000):
+            with tracer.span("unit"):
+                pass
+        assert len(tracer.roots()) == 2000 and tracer.dropped_roots == 0
+        with pytest.raises(ValueError):
+            Tracer(max_roots=0)

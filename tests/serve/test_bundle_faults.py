@@ -145,3 +145,78 @@ class TestFormatRejection:
         assert issubclass(BundleError, ValueError)
         assert issubclass(BundleIntegrityError, BundleError)
         assert issubclass(BundleFormatError, BundleError)
+
+
+class TestAtomicZipSave:
+    """A zip save that dies midway keeps the previous bundle at its path."""
+
+    @staticmethod
+    def _crash_after_first_member(monkeypatch):
+        real = zipfile.ZipFile.writestr
+        written = []
+
+        def writestr(self, name, data, *args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(name)
+            return real(self, name, data, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", writestr)
+
+    def _assert_old_bundle_intact(self, path, before):
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_save_bundle(self, packed_classifier_bundle, fitted_logistic, monkeypatch):
+        from repro.serve.bundle import verify_bundle
+
+        path = packed_classifier_bundle
+        before = path.read_bytes()
+        self._crash_after_first_member(monkeypatch)
+        newer = ModelBundle.create("blobs-clf", "2", classifier=fitted_logistic)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(newer, path)
+        monkeypatch.undo()
+        self._assert_old_bundle_intact(path, before)
+        manifest, _ = verify_bundle(path)
+        assert manifest.version == "1"
+        assert load_bundle(path).manifest.version == "1"
+
+    def test_save_delta_bundle(
+        self, packed_classifier_bundle, fitted_logistic, blob_data, monkeypatch
+    ):
+        from repro.ml.preprocessing import StandardScaler
+        from repro.serve.bundle import save_delta_bundle, verify_bundle
+
+        parent = load_bundle(packed_classifier_bundle)
+        path = packed_classifier_bundle.parent / "delta.zip"
+        # The scaler is the member the delta ships beside its manifest.
+        child = ModelBundle.create(
+            "blobs-clf", "2", classifier=fitted_logistic, scaler=StandardScaler().fit(blob_data[0])
+        )
+        save_delta_bundle(child, path, parent.manifest)
+        before = path.read_bytes()
+        self._crash_after_first_member(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_delta_bundle(child, path, parent.manifest)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert {p.name for p in path.parent.iterdir()} == {path.name, packed_classifier_bundle.name}
+        manifest, _ = verify_bundle(path, parent_resolver=lambda ref: packed_classifier_bundle)
+        assert manifest.version == "2"
+
+    def test_save_gate_bundle(self, tmp_path, monkeypatch):
+        from repro.serve.bundle import load_gate_bundle, save_gate_bundle
+
+        from tests.serve.test_gate_bundle import _report
+
+        path = tmp_path / "gate.zip"
+        save_gate_bundle(_report(), path, version="1")
+        before = path.read_bytes()
+        self._crash_after_first_member(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_gate_bundle(_report(), path, version="2")
+        monkeypatch.undo()
+        self._assert_old_bundle_intact(path, before)
+        manifest, _ = load_gate_bundle(path)
+        assert manifest.version == "1"

@@ -342,6 +342,27 @@ class TestObservability:
         assert reg.counter_total("serve.requests") == len(rows)
         assert reg.counter_total("serve.batches") == len(batch_spans)
 
+    def test_span_retention_is_bounded(self, clf_registry):
+        """10k requests leave as many spans as 5k did: the tracer keeps a
+        ring of recent batches and counts the batches it let go."""
+        reset_observability()
+        X, _ = make_blobs(n_per_class=4, seed=5)
+        rows = [X[i % len(X)] for i in range(250)]
+        spans_at = {}
+        with InferenceServer(
+            clf_registry, model="blobs-clf", max_batch=1, max_linger_s=0.0
+        ) as server:
+            for done in range(250, 10_001, 250):
+                assert all(r.ok for r in serve_burst(server, rows))
+                if done in (5_000, 10_000):
+                    spans_at[done] = sum(1 for _ in tracer().spans())
+            batches = server.batches_run
+        assert batches == 10_000
+        assert spans_at[5_000] == spans_at[10_000] > 0
+        kept = len(tracer().roots())
+        assert tracer().dropped_roots == batches - kept > 0
+        assert metrics().timer_total("serve.request").count == 10_000
+
     def test_failed_requests_balance_too(self, registry):
         reset_observability()
         with InferenceServer(registry, model="blobs") as server:
