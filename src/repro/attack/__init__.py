@@ -30,11 +30,8 @@ from repro.attack.models import build_spectrogram_cnn, build_feature_cnn
 from repro.attack.engine import (
     CollectionCache,
     CollectionResult,
-    CollectionStats,
     collect_datasets,
     default_cache,
-    global_stats,
-    reset_global_stats,
 )
 from repro.attack.pipeline import (
     EmoLeakAttack,
@@ -83,13 +80,10 @@ __all__ = [
     "SpectrogramDataset",
     "CollectionCache",
     "CollectionResult",
-    "CollectionStats",
     "collect_datasets",
     "collect_feature_dataset",
     "collect_spectrogram_dataset",
     "default_cache",
-    "global_stats",
-    "reset_global_stats",
     "Scenario",
     "SCENARIOS",
     "get_scenario",

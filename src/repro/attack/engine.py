@@ -1,4 +1,4 @@
-"""Collection engine: batched stages, executors, caching, stats.
+"""Collection engine: batched stages, executors, caching.
 
 The collection stage — render each utterance, transmit it through the
 vibration channel, detect speech regions, extract the Table II features
@@ -13,7 +13,8 @@ time; the engine runs it as stacked chunks of utterances:
   transmit, detect, best region) then :func:`_products` (features and
   images) serve every table-top pass, :func:`iter_region_samples` and
   the continuous session's products. A chunk that fails re-runs its
-  rows as chunks of one; ``pipeline="per_utterance"`` is chunks of one.
+  rows as chunks of one; ``batch_chunk=1`` plays one utterance at a
+  time.
 - **Executors**: chunks fan out through :func:`repro.parallel.run_tasks`
   (``serial``, ``thread`` or ``process``).
 - **Single-pass collection**: :func:`collect_datasets` produces the
@@ -28,8 +29,10 @@ time; the engine runs it as stacked chunks of utterances:
   (``render`` → ``transmit`` → ``detect`` → ``product``). Each chunk
   records under :func:`repro.obs.capture_observability` on whatever
   worker runs it, and the pass merges the chunks under its ``collect``
-  span. A pass's :class:`CollectionStats` is the
-  :meth:`~CollectionStats.from_registry` view of what it recorded.
+  span. The metrics registry is the one account of a pass: the
+  ``renders``, ``transmits``, ``regions_detected``, ``regions_used``,
+  ``n_played``, ``cache_hits`` and ``cache_misses`` counters and the
+  stage timers (``python -m repro.cli --metrics`` prints them).
 
 The continuous-session (handheld) protocol is inherently sequential —
 the hand-motion process is one continuous waveform across the session —
@@ -56,22 +59,13 @@ from repro.datasets import base as datasets_base
 from repro.datasets.base import Corpus, UtteranceSpec, resolve_task
 from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase_batch
 from repro.memo import ByteBudgetMemo
-from repro.obs import (
-    MetricsRegistry,
-    capture_observability,
-    merge_worker_trace,
-    metrics,
-    trace,
-)
+from repro.obs import capture_observability, merge_worker_trace, metrics, trace
 from repro.parallel import EXECUTOR_NAMES, resolve_executor, run_tasks
 from repro.phone.channel import Placement, VibrationChannel
 
 __all__ = [
     "EXECUTOR_NAMES",
-    "PIPELINES",
-    "DEFAULT_PIPELINE",
     "DEFAULT_BATCH_CHUNK",
-    "CollectionStats",
     "FeatureDataset",
     "SpectrogramDataset",
     "CollectionResult",
@@ -82,128 +76,16 @@ __all__ = [
     "collect_per_utterance_products",
     "iter_region_samples",
     "default_cache",
-    "global_stats",
-    "reset_global_stats",
 ]
 
 #: Seconds of silence padded around each per-utterance playback so the
 #: region detector sees the noise floor (matches the paper's protocol).
 _UTTERANCE_PAD_S = 0.3
 
-#: Collection pipelines: ``batched`` stacks utterances into chunks of
-#: ``batch_chunk`` and runs each stage across the batch axis (the
-#: default); ``per_utterance`` plays one utterance at a time, i.e.
-#: chunks of one. Results are identical either way.
-PIPELINES: Tuple[str, ...] = ("batched", "per_utterance")
-DEFAULT_PIPELINE = "batched"
-
 #: Utterances per stacked batch chunk. Chunking bounds peak memory and
 #: gives the process executor work units; results are identical at any
 #: chunk size.
 DEFAULT_BATCH_CHUNK = 32
-
-
-def _resolve_pipeline(pipeline: Optional[str]) -> str:
-    name = str(pipeline or DEFAULT_PIPELINE).replace("-", "_")
-    if name not in PIPELINES:
-        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    return name
-
-
-# ---------------------------------------------------------------------------
-# Instrumentation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CollectionStats:
-    """Counters and stage timers for one (or many) collection passes.
-
-    Stage timers are *summed across workers*, so with ``n_jobs > 1`` they
-    can exceed ``total_s`` (which is wall time). ``cache_hits`` counts
-    whole passes served from a :class:`CollectionCache`.
-    """
-
-    renders: int = 0
-    transmits: int = 0
-    regions_detected: int = 0
-    regions_used: int = 0
-    n_played: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    render_s: float = 0.0
-    transmit_s: float = 0.0
-    detect_s: float = 0.0
-    product_s: float = 0.0
-    total_s: float = 0.0
-    n_jobs: int = 1
-    executor: str = "serial"
-
-    def summary(self) -> str:
-        """One-line human-readable account of the pass."""
-        return (
-            f"transmits={self.transmits} renders={self.renders} "
-            f"regions={self.regions_used}/{self.regions_detected} "
-            f"cache={self.cache_hits}h/{self.cache_misses}m "
-            f"[render {self.render_s:.2f}s, transmit {self.transmit_s:.2f}s, "
-            f"detect {self.detect_s:.2f}s, featurize {self.product_s:.2f}s; "
-            f"wall {self.total_s:.2f}s, {self.executor} x{self.n_jobs}]"
-        )
-
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry) -> "CollectionStats":
-        """Thin :class:`CollectionStats` view over a metrics registry.
-
-        Counter fields read the counters of the same name, stage timers
-        the span timers, and the pool the widest ``engine.n_jobs`` gauge.
-        """
-        stats = cls()
-        for name in _COUNTER_FIELDS:
-            setattr(stats, name, int(registry.counter_total(name)))
-        for name, timer in _TIMER_FIELDS.items():
-            setattr(stats, name, registry.timer_total(timer).total_s)
-        pools = [
-            (value, dict(labels).get("executor", "serial"))
-            for (gauge, labels), value in registry.snapshot()["gauges"].items()
-            if gauge == "engine.n_jobs"
-        ]
-        if pools:
-            width, executor = max(pools, key=lambda p: (p[0], p[1]))
-            stats.n_jobs = int(width)
-            stats.executor = executor
-        return stats
-
-
-#: CollectionStats counter field -> registry counter of the same name.
-_COUNTER_FIELDS: Tuple[str, ...] = (
-    "renders", "transmits", "regions_detected", "regions_used",
-    "n_played", "cache_hits", "cache_misses",
-)
-
-#: CollectionStats timer field -> registry/span timer name.
-_TIMER_FIELDS: Dict[str, str] = {
-    "render_s": "render",
-    "transmit_s": "transmit",
-    "detect_s": "detect",
-    "product_s": "product",
-    "total_s": "collect",
-}
-
-
-def global_stats() -> CollectionStats:
-    """The process-wide collection counters.
-
-    A view assembled from the process-wide metrics registry. Stage
-    timers come from the engine's spans, which record on exception paths
-    too, so time spent in a failing pass is still accounted; counters
-    are counted only by finished chunks and passes.
-    """
-    return CollectionStats.from_registry(metrics())
-
-
-def reset_global_stats() -> None:
-    """Zero the process-wide collection counters (the metrics registry)."""
-    metrics().clear()
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +102,6 @@ class FeatureDataset:
     feature_names: Tuple[str, ...] = FEATURE_NAMES
     fs: float = 0.0
     n_played: int = 0
-    stats: Optional[CollectionStats] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.X.shape[0] != self.y.shape[0]:
@@ -242,7 +123,6 @@ class SpectrogramDataset:
     y: np.ndarray
     fs: float = 0.0
     n_played: int = 0
-    stats: Optional[CollectionStats] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.images.shape[0] != self.y.shape[0]:
@@ -261,7 +141,6 @@ class CollectionResult:
 
     features: FeatureDataset
     spectrograms: SpectrogramDataset
-    stats: CollectionStats
 
     def __iter__(self):
         yield self.features
@@ -565,8 +444,8 @@ def _run_pass(
     batch_chunk: int = DEFAULT_BATCH_CHUNK,
     cache_miss: bool = False,
     **labels,
-) -> Tuple[List[Tuple], CollectionStats]:
-    """One collection pass under a ``collect`` span: ``(products, stats)``.
+) -> List[Tuple]:
+    """One collection pass under a ``collect`` span: its product rows.
 
     The pass records into its own registry, which is merged under the
     ``collect`` span even when the pass fails: spans and stage timers
@@ -590,9 +469,7 @@ def _run_pass(
                 registry.gauge("engine.n_jobs", n_jobs, executor=executor)
         finally:
             merge_worker_trace(recorded, parent=pass_span)
-        stats = CollectionStats.from_registry(recorded.registry)
-        stats.total_s = pass_span.elapsed()
-    return products, stats
+    return products
 
 
 def collect_per_utterance_products(
@@ -605,14 +482,14 @@ def collect_per_utterance_products(
     feature_highpass_hz: Optional[float] = None,
     n_jobs: int = 1,
     executor: Optional[str] = None,
-) -> Tuple[List[Tuple[int, str, Optional[np.ndarray], Optional[np.ndarray]]], CollectionStats]:
+) -> List[Tuple[int, str, Optional[np.ndarray], Optional[np.ndarray]]]:
     """Table-top product rows with spec provenance.
 
-    Returns ``(products, stats)`` where each product is
-    ``(spec_index, label, features|None, image|None)`` — the building
-    block for consumers that need row→utterance alignment (e.g. the
-    Spearphone speaker/gender baseline). Runs the batched stages under
-    the active batch policy, like every table-top pass.
+    Each product is ``(spec_index, label, features|None, image|None)``
+    — the building block for consumers that need row→utterance
+    alignment (e.g. the Spearphone speaker/gender baseline). Runs the
+    batched stages under the active batch policy, like every table-top
+    pass.
     """
     detector = detector or _default_detector(channel)
     specs = list(specs if specs is not None else corpus.specs)
@@ -709,7 +586,7 @@ def collection_key(
     over everything else that changes the numerics (spec list, device
     profile, detector configuration, sensor, environment, image size,
     feature-path filter, batch-policy compute dtype). Executor choice,
-    worker count, pipeline and chunk size are deliberately excluded:
+    worker count and chunk size are deliberately excluded:
     they do not change the result. ``batch_dtype=None`` normalises to
     ``"float64"``, the golden policy; a float32 hot-path pass keys
     separately.
@@ -939,7 +816,6 @@ def _assemble_result(
     fs: float,
     n_played: int,
     size: int,
-    stats: CollectionStats,
 ) -> CollectionResult:
     """Build both datasets from labelled product rows."""
     rows = [(label, f) for label, f, _ in labelled if f is not None]
@@ -949,7 +825,6 @@ def _assemble_result(
         y=np.array([label for label, _ in rows]),
         fs=fs,
         n_played=n_played,
-        stats=stats,
     )
     shots = [(label, img) for label, _, img in labelled if img is not None]
     stack = (
@@ -962,9 +837,8 @@ def _assemble_result(
         y=np.array([label for label, _ in shots]),
         fs=fs,
         n_played=n_played,
-        stats=stats,
     )
-    return CollectionResult(features=features, spectrograms=spectrograms, stats=stats)
+    return CollectionResult(features=features, spectrograms=spectrograms)
 
 
 def collect_datasets(
@@ -999,16 +873,12 @@ def collect_datasets(
         Optional :class:`CollectionCache`; a hit skips the pass entirely
         and returns the registered result object.
     pipeline:
-        ``"batched"`` (default) stacks utterances into chunks of
-        ``batch_chunk`` and runs every stage across the batch axis;
-        ``"per_utterance"`` plays one utterance at a time, i.e.
-        ``batch_chunk=1``. Both honour the batch policy and give
-        identical results; the continuous (handheld session) protocol
-        ignores this knob.
+        ``None`` or ``"batched"``, the one table-top data plane; any
+        other value raises. One utterance at a time is ``batch_chunk=1``.
     batch_chunk:
         Utterances per stacked chunk (default
         :data:`DEFAULT_BATCH_CHUNK`). Results are identical at any chunk
-        size.
+        size; the continuous (handheld session) protocol ignores it.
     task:
         Which label to attach to each collected region — one of
         :data:`repro.datasets.base.TASKS` (``emotion``, ``speaker-id``,
@@ -1025,6 +895,11 @@ def collect_datasets(
         cache key; relabel-from-cache still works across tasks *within*
         one defended configuration.
     """
+    if pipeline not in (None, "batched"):
+        raise ValueError(
+            f"unknown pipeline {pipeline!r}: collection always runs batched "
+            "chunks; pass batch_chunk=1 to play one utterance at a time"
+        )
     if defense is not None:
         channel = defense.apply(channel)
     detector = detector or _default_detector(channel)
@@ -1032,10 +907,7 @@ def collect_datasets(
         continuous = channel.placement is Placement.HANDHELD
     specs = list(specs if specs is not None else corpus.specs)
     executor_name = resolve_executor(n_jobs, executor)
-    pipeline_name = _resolve_pipeline(pipeline)
     task_name = resolve_task(task)
-    if pipeline_name == "per_utterance":
-        batch_chunk = 1
 
     # Every table-top pass honours the batch policy; the continuous
     # session computes in float64.
@@ -1057,8 +929,6 @@ def collect_datasets(
         if hit is not None:
             cache.hits += 1
             metrics().count("cache_hits")
-            if hit.stats is not None:
-                hit.stats.cache_hits += 1
             return hit
         # The task key missed, but a pass under another task may have
         # left its raw products behind: re-label instead of re-collect.
@@ -1068,13 +938,11 @@ def collect_datasets(
             cache.hits += 1
             metrics().count("cache.relabel_hits")
             metrics().count("cache_hits")
-            stats = CollectionStats(n_played=n_played, cache_hits=1)
             result = _assemble_result(
                 _task_labelled_rows(products, specs, corpus, task_name),
                 channel.accel_fs,
                 n_played,
                 int(size),
-                stats,
             )
             cache.store(key, result)
             return result
@@ -1090,7 +958,7 @@ def collect_datasets(
         defense=defense,
         dtype=active_dtype,
     )
-    products, stats = _run_pass(
+    products = _run_pass(
         config,
         specs,
         continuous,
@@ -1101,7 +969,7 @@ def collect_datasets(
         corpus=corpus.name,
         device=channel.device.name,
         placement=channel.placement.value,
-        pipeline="continuous" if continuous else pipeline_name,
+        pipeline="continuous" if continuous else "batched",
     )
 
     result = _assemble_result(
@@ -1109,7 +977,6 @@ def collect_datasets(
         channel.accel_fs,
         len(specs),
         int(size),
-        stats,
     )
     if cache is not None and key is not None:
         cache.store_products(base_key, products, len(specs))
@@ -1126,11 +993,7 @@ def _rebuild_result(
     n_played: int,
 ) -> CollectionResult:
     """Reassemble a CollectionResult from persisted arrays (see eval.io)."""
-    stats = CollectionStats(n_played=n_played)
-    features = FeatureDataset(
-        X=X, y=y_features, fs=fs, n_played=n_played, stats=stats
+    return CollectionResult(
+        features=FeatureDataset(X=X, y=y_features, fs=fs, n_played=n_played),
+        spectrograms=SpectrogramDataset(images=images, y=y_images, fs=fs, n_played=n_played),
     )
-    spectrograms = SpectrogramDataset(
-        images=images, y=y_images, fs=fs, n_played=n_played, stats=stats
-    )
-    return CollectionResult(features=features, spectrograms=spectrograms, stats=stats)

@@ -33,7 +33,7 @@ in single precision and is tolerance-close to float64.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -93,7 +93,14 @@ class _Plan(NamedTuple):
     log_bins: Optional[np.floating]  # log2(number of bins)
 
 
-def _build_plan(n: int, fs: Optional[float], dtype: np.dtype) -> _Plan:
+#: Kernel constants by ``(n, fs, dtype)``. Window lengths come from
+#: clients, so the cache is bounded LRU: a long-lived server would
+#: otherwise grow it without limit. Eviction only forces a rebuild, and
+#: rebuilds are deterministic, so the cap cannot change any value. A plan
+#: holds three arrays of n/2 values, so 1024 regions of ~10^3 samples
+#: stay within ~12 MB.
+@lru_cache(maxsize=1024)
+def _plan(n: int, fs: Optional[float], dtype: np.dtype) -> _Plan:
     # np.quantile's linear method: the virtual index n*q + (1 - q) - 1
     # (exact in float64), the ranks either side and the fraction between.
     ranks = []
@@ -117,38 +124,6 @@ def _build_plan(n: int, fs: Optional[float], dtype: np.dtype) -> _Plan:
         (freqs * weight).astype(dtype),
         dtype.type(np.log2(freqs.size)),
     )
-
-
-#: Kernel constants by ``(n, fs, dtype)``. Window lengths come from
-#: clients, so the cache is bounded LRU: a long-lived server would
-#: otherwise grow it without limit. Eviction only forces a rebuild, and
-#: rebuilds are deterministic, so the cap cannot change any value. Races
-#: between threads at worst rebuild the same plan.
-_PLAN_CACHE: "OrderedDict[Tuple[int, Optional[float], str], _Plan]" = OrderedDict()
-
-#: Upper bound on cached plans. A plan holds three arrays of n/2 values,
-#: so 1024 regions of ~10^3 samples stay within ~12 MB.
-_PLAN_CACHE_MAX = 1024
-
-
-def _plan(n: int, fs: Optional[float], dtype: np.dtype) -> _Plan:
-    key = (n, fs, dtype.char)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _PLAN_CACHE[key] = _build_plan(n, fs, dtype)
-        # Evict least-recently-used plans down to the cap. Guarded
-        # against a concurrent pop leaving the dict empty mid-loop.
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            try:
-                _PLAN_CACHE.popitem(last=False)
-            except KeyError:  # pragma: no cover - concurrent eviction
-                break
-    else:
-        try:
-            _PLAN_CACHE.move_to_end(key)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
-    return plan
 
 
 def _quantiles(X: np.ndarray, plan: _Plan, out) -> None:

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 from repro.attack.engine import (
     CollectionCache,
     CollectionResult,
-    CollectionStats,
     FeatureDataset,
     SpectrogramDataset,
     _default_detector,
@@ -42,7 +41,6 @@ __all__ = [
     "FeatureDataset",
     "SpectrogramDataset",
     "CollectionResult",
-    "CollectionStats",
     "collect_datasets",
     "collect_feature_dataset",
     "collect_spectrogram_dataset",
@@ -61,7 +59,6 @@ def collect_feature_dataset(
     n_jobs: int = 1,
     executor: Optional[str] = None,
     cache: Optional[CollectionCache] = None,
-    pipeline: Optional[str] = None,
     batch_chunk: Optional[int] = None,
     task: str = "emotion",
 ) -> FeatureDataset:
@@ -87,7 +84,6 @@ def collect_feature_dataset(
         n_jobs=n_jobs,
         executor=executor,
         cache=cache,
-        pipeline=pipeline,
         batch_chunk=batch_chunk,
         task=task,
     ).features
@@ -104,7 +100,6 @@ def collect_spectrogram_dataset(
     n_jobs: int = 1,
     executor: Optional[str] = None,
     cache: Optional[CollectionCache] = None,
-    pipeline: Optional[str] = None,
     batch_chunk: Optional[int] = None,
     task: str = "emotion",
 ) -> SpectrogramDataset:
@@ -120,7 +115,6 @@ def collect_spectrogram_dataset(
         n_jobs=n_jobs,
         executor=executor,
         cache=cache,
-        pipeline=pipeline,
         batch_chunk=batch_chunk,
         task=task,
     ).spectrograms
@@ -143,9 +137,9 @@ class EmoLeakAttack:
     ``n_jobs``/``executor`` fan the collection out over the engine's
     worker pool; ``cache`` registers every pass in a
     :class:`~repro.attack.engine.CollectionCache` so repeated collections
-    of the same scenario are free. ``pipeline``/``batch_chunk`` set the
-    chunk size of the batched data plane (``per_utterance`` is chunks of
-    one); results are identical at any chunk size.
+    of the same scenario are free. ``batch_chunk`` sets the chunk size
+    of the batched data plane (``1`` plays one utterance at a time);
+    results are identical at any chunk size.
     """
 
     def __init__(
@@ -156,7 +150,6 @@ class EmoLeakAttack:
         n_jobs: int = 1,
         executor: Optional[str] = None,
         cache: Optional[CollectionCache] = None,
-        pipeline: Optional[str] = None,
         batch_chunk: Optional[int] = None,
         task: str = "emotion",
     ):
@@ -166,7 +159,6 @@ class EmoLeakAttack:
         self.n_jobs = int(n_jobs)
         self.executor = executor
         self.cache = cache
-        self.pipeline = pipeline
         self.batch_chunk = batch_chunk
         self.task = task
 
@@ -187,7 +179,6 @@ class EmoLeakAttack:
             n_jobs=self.n_jobs,
             executor=self.executor,
             cache=self.cache,
-            pipeline=self.pipeline,
             batch_chunk=self.batch_chunk,
             task=self.task,
         )
@@ -211,7 +202,6 @@ class EmoLeakAttack:
             n_jobs=self.n_jobs,
             executor=self.executor,
             cache=self.cache,
-            pipeline=self.pipeline,
             batch_chunk=self.batch_chunk,
             task=self.task,
         )
@@ -235,7 +225,6 @@ class EmoLeakAttack:
             n_jobs=self.n_jobs,
             executor=self.executor,
             cache=self.cache,
-            pipeline=self.pipeline,
             batch_chunk=self.batch_chunk,
             task=self.task,
         )

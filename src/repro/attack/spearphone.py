@@ -58,7 +58,7 @@ def collect_speaker_dataset(
     specs = list(specs if specs is not None else corpus.specs)
     # The engine's product rows carry spec provenance, so every
     # feature row maps back to its speaker.
-    products, _ = collect_per_utterance_products(
+    products = collect_per_utterance_products(
         corpus,
         channel,
         specs=specs,

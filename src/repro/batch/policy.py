@@ -1,7 +1,7 @@
 """Process-wide precision policy for the batched data plane.
 
 Mirrors :mod:`repro.nn.policy`: one knob, ``compute_dtype``, read once
-per table-top collection pass (any chunk size, ``per_utterance``
+per table-top collection pass (any chunk size, chunks of one
 included) and shipped to its workers; the continuous handheld session
 always computes in float64.
 

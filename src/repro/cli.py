@@ -29,12 +29,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.attack.engine import (
-    EXECUTOR_NAMES,
-    CollectionCache,
-    global_stats,
-    reset_global_stats,
-)
+from repro.attack.engine import EXECUTOR_NAMES, CollectionCache
 from repro.attack.pipeline import EmoLeakAttack
 from repro.attack.scenarios import SCENARIOS, get_scenario
 from repro.datasets import TASKS, build_corpus
@@ -119,14 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
              "serial for --n-jobs 1, thread otherwise)",
     )
     parser.add_argument(
-        "--pipeline",
-        choices=("batched", "per-utterance"),
-        default=None,
-        help="collection data plane: batched (stacked utterance chunks, "
-             "default) or per-utterance (chunks of one utterance); "
-             "results are identical either way",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -205,7 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.table:
         from repro.eval.suite import run_table
 
-        reset_global_stats()
         suite = run_table(
             args.table,
             subsample=args.subsample or 20,
@@ -216,7 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache=cache,
         )
         print(suite.render())
-        print(f"\ncollection: {global_stats().summary()}")
         _finish_observability(args)
         return 0
     if not args.scenario:
@@ -237,7 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_jobs=args.n_jobs,
         executor=args.executor,
         cache=cache,
-        pipeline=args.pipeline,
         task=task,
     )
 
@@ -251,15 +235,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         data = attack.collect_spectrograms(corpus)
         print(f"collected : {data.images.shape[0]} spectrograms "
               f"({data.extraction_rate:.0%} extraction)")
-        if data.stats is not None:
-            print(f"engine    : {data.stats.summary()}")
         result = run_spectrogram_experiment(data, seed=args.seed, fast=args.fast)
     else:
         data = attack.collect_features(corpus)
         print(f"collected : {data.X.shape[0]} feature vectors "
               f"({data.extraction_rate:.0%} extraction)")
-        if data.stats is not None:
-            print(f"engine    : {data.stats.summary()}")
         result = run_feature_experiment(
             data, args.classifier, seed=args.seed, fast=args.fast
         )

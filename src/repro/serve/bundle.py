@@ -79,6 +79,7 @@ __all__ = [
     "quantize_bundle",
     "read_manifest",
     "save_delta_bundle",
+    "delta_members",
     "GATE_KIND",
     "save_gate_bundle",
     "load_gate_bundle",
@@ -592,14 +593,21 @@ def save_delta_bundle(
         "ref": parent.ref,
         "manifest_sha256": manifest_sha256(parent),
     }
-    changed = {
-        name: data
-        for name, data in members.items()
-        if str(parent.members.get(name, {}).get("sha256"))
-        != bundle.manifest.members[name]["sha256"]
-    }
+    changed = {name: members[name] for name in delta_members(bundle.manifest, parent)}
     _write_bundle(path, _manifest_bytes(bundle.manifest), changed)
     return bundle.manifest
+
+
+def delta_members(manifest: BundleManifest, parent: BundleManifest) -> List[str]:
+    """Members of ``manifest`` whose hash differs from (or is absent in) ``parent``.
+
+    These are the members a delta archive against ``parent`` ships.
+    """
+    return sorted(
+        name
+        for name, meta in manifest.members.items()
+        if str(parent.members.get(name, {}).get("sha256")) != meta["sha256"]
+    )
 
 
 def quantize_bundle(

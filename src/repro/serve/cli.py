@@ -393,15 +393,14 @@ def _cmd_inspect(args) -> int:
 def _cmd_quantize(args) -> int:
     from repro.serve.bundle import (
         BundleError,
+        delta_members,
         load_bundle,
         quantize_bundle,
         save_bundle,
         save_delta_bundle,
-        verify_bundle,
     )
 
     try:
-        source_manifest, _ = verify_bundle(args.path)
         source = load_bundle(args.path)
     except BundleError as exc:
         print(f"REJECTED: {exc}", file=sys.stderr)
@@ -413,15 +412,10 @@ def _cmd_quantize(args) -> int:
         print(f"CANNOT QUANTISE: {exc}", file=sys.stderr)
         return 1
     if args.delta:
-        manifest = save_delta_bundle(derived, args.out, source_manifest)
-        shipped = {
-            name
-            for name in manifest.members
-            if str(source_manifest.members.get(name, {}).get("sha256"))
-            != manifest.members[name]["sha256"]
-        }
+        manifest = save_delta_bundle(derived, args.out, source.manifest)
+        shipped = delta_members(manifest, source.manifest)
         print(f"quantised : {manifest.ref} [{manifest.variant}] -> {args.out} "
-              f"(delta vs {source_manifest.ref}: ships "
+              f"(delta vs {source.manifest.ref}: ships "
               f"{len(shipped)}/{len(manifest.members)} members)")
     else:
         manifest = save_bundle(derived, args.out)
@@ -433,7 +427,13 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    from repro.serve.bundle import BundleError, load_bundle, verify_bundle
+    from repro.serve.bundle import (
+        BundleError,
+        delta_members,
+        load_bundle,
+        save_delta_bundle,
+        verify_bundle,
+    )
 
     try:
         parent_manifest, _ = verify_bundle(args.parent)
@@ -441,19 +441,12 @@ def _cmd_delta(args) -> int:
     except BundleError as exc:
         print(f"REJECTED: {exc}", file=sys.stderr)
         return 1
-    from repro.serve.bundle import save_delta_bundle
-
     try:
         manifest = save_delta_bundle(bundle, args.out, parent_manifest)
     except BundleError as exc:
         print(f"CANNOT DELTA: {exc}", file=sys.stderr)
         return 1
-    shipped = sum(
-        1
-        for name in manifest.members
-        if str(parent_manifest.members.get(name, {}).get("sha256"))
-        != manifest.members[name]["sha256"]
-    )
+    shipped = len(delta_members(manifest, parent_manifest))
     print(f"delta     : {manifest.ref} -> {args.out} "
           f"(vs {parent_manifest.ref}: ships {shipped}/"
           f"{len(manifest.members)} members)")

@@ -8,9 +8,9 @@ envelope with emotion-dependent attack sharpness modulates intensity.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,50 +32,23 @@ __all__ = ["SpeakerVoice", "Synthesizer"]
 #: linspace calls they replace; syllable lengths repeat heavily across a
 #: corpus, which makes the cache hit rate high. The cache is bounded LRU:
 #: corpora whose segment lengths do not repeat (the music corpus's
-#: beat-grid clips, long multi-corpus runs) would otherwise grow a
-#: module-global dict without limit. Eviction only ever forces a rebuild,
-#: and rebuilds are deterministic, so capping cannot change any value.
-#: Races between executor threads at worst rebuild the same array.
-_RAMP_CACHE: "OrderedDict[Tuple[float, float, int, Optional[float]], np.ndarray]" = (
-    OrderedDict()
-)
-
-#: Upper bound on cached ramps. Each entry is one float64 array of a
-#: syllable's length (~10^2-10^3 samples), so the cap bounds the cache to
-#: a few tens of MB in the worst case while keeping the hit rate of
-#: repeating syllable lengths intact.
-_RAMP_CACHE_MAX = 4096
-
-
+#: beat-grid clips, long multi-corpus runs) would otherwise grow without
+#: limit. Eviction only ever forces a rebuild, and rebuilds are
+#: deterministic, so capping cannot change any value. The cap of 4096
+#: arrays of a syllable's length (~10^2-10^3 samples) bounds the cache to
+#: a few tens of MB while keeping repeating syllable lengths warm.
+@lru_cache(maxsize=4096)
 def _cached_ramp(
     start: float, stop: float, n: int, power: Optional[float] = None
 ) -> np.ndarray:
-    key = (start, stop, n, power)
-    ramp = _RAMP_CACHE.get(key)
-    if ramp is None:
-        if n == 1:
-            ramp = np.array([float(start)])
-        else:
-            ramp = np.arange(n) * ((stop - start) / (n - 1)) + start
-            ramp[-1] = stop
-        if power is not None:
-            ramp **= power
-        ramp.setflags(write=False)
-        _RAMP_CACHE[key] = ramp
-        if len(_RAMP_CACHE) > _RAMP_CACHE_MAX:
-            # Evict least-recently-used entries down to the cap. Guarded
-            # against a concurrent pop leaving the dict empty mid-loop.
-            while len(_RAMP_CACHE) > _RAMP_CACHE_MAX:
-                try:
-                    _RAMP_CACHE.popitem(last=False)
-                except KeyError:  # pragma: no cover - concurrent eviction
-                    break
+    if n == 1:
+        ramp = np.array([float(start)])
     else:
-        # LRU touch; a concurrent eviction between get and move is benign.
-        try:
-            _RAMP_CACHE.move_to_end(key)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
+        ramp = np.arange(n) * ((stop - start) / (n - 1)) + start
+        ramp[-1] = stop
+    if power is not None:
+        ramp **= power
+    ramp.setflags(write=False)
     return ramp
 
 

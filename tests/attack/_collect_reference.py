@@ -6,8 +6,8 @@ the reference the batched stages must reproduce byte for byte under the
 float64 batch policy: render, pad with silence, transmit, apply the
 defense, detect, keep the most energetic region, then the scalar
 Table II features and the spectrogram image of that region. Only the
-per-item ``CollectionStats`` bookkeeping and the executor fan-out were
-dropped; the reference runs serially. Test-only: nothing under ``src/``
+per-item stats bookkeeping and the executor fan-out were dropped; the
+reference runs serially. Test-only: nothing under ``src/``
 imports it.
 """
 
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.attack.engine import CollectionResult, CollectionStats, _assemble_result
+from repro.attack.engine import CollectionResult, _assemble_result
 from repro.attack.features import extract_features
 from repro.attack.regions import Region, RegionDetector
 from repro.attack.specimages import region_spectrogram_image
@@ -186,5 +186,4 @@ def collect_reference(
         channel.accel_fs,
         len(specs),
         int(size),
-        CollectionStats(n_played=len(specs)),
     )

@@ -5,14 +5,11 @@ import pytest
 
 from repro.attack.engine import (
     CollectionCache,
-    CollectionStats,
     _item_rng,
     _loudest,
     collect_datasets,
     collection_key,
-    global_stats,
     iter_region_samples,
-    reset_global_stats,
 )
 from repro.attack.pipeline import (
     collect_feature_dataset,
@@ -21,6 +18,7 @@ from repro.attack.pipeline import (
 from repro.attack.regions import Region, RegionDetector
 from repro.eval.io import load_collection, save_collection
 from repro.eval.suite import run_table
+from repro.obs import capture_observability, metrics
 from repro.parallel import run_tasks
 
 
@@ -82,15 +80,16 @@ class TestSharedPass:
         assert np.array_equal(shared.spectrograms.images, spectrograms.images)
         assert np.array_equal(shared.spectrograms.y, spectrograms.y)
 
-    def test_stats_attached(self, tiny_tess, loud_channel):
+    def test_pass_recorded_in_registry(self, tiny_tess, loud_channel):
         specs = _subset(tiny_tess, 5)
-        result = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=1)
-        assert result.stats is not None
-        assert result.stats.transmits == 5
-        assert result.stats.renders == 5
-        assert result.stats.total_s > 0
-        assert result.features.stats is result.stats
-        assert "transmits=5" in result.stats.summary()
+        with capture_observability() as recorded:
+            collect_datasets(tiny_tess, loud_channel, specs=specs, seed=1)
+        registry = recorded.registry
+        assert registry.counter_total("transmits") == 5
+        assert registry.counter_total("renders") == 5
+        assert registry.counter_total("n_played") == 5
+        assert registry.timer_total("collect").count == 1
+        assert registry.timer_total("collect").total_s > 0
 
     def test_iter_region_samples_labels(self, tiny_tess, loud_channel):
         specs = _subset(tiny_tess, 5)
@@ -108,14 +107,17 @@ class TestCache:
     def test_hit_returns_same_object(self, tiny_tess, loud_channel):
         cache = CollectionCache()
         specs = _subset(tiny_tess, 6)
-        first = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
-        )
-        second = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
-        )
+        with capture_observability() as recorded:
+            first = collect_datasets(
+                tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
+            )
+            second = collect_datasets(
+                tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
+            )
         assert second is first
         assert cache.hits == 1 and cache.misses == 1
+        assert recorded.registry.counter_total("cache_hits") == 1
+        assert recorded.registry.counter_total("cache_misses") == 1
         assert len(cache) == 1
 
     def test_key_separates_seeds_and_devices(self, tiny_tess, loud_channel):
@@ -157,15 +159,9 @@ class TestCache:
 
 
 class TestStats:
-    def test_summary(self):
-        stats = CollectionStats(transmits=5, renders=5, cache_hits=1, total_s=1.0)
-        line = stats.summary()
-        assert "transmits=5 renders=5" in line and "cache=1h/0m" in line
-        assert "wall 1.00s, serial x1" in line
-
     def test_one_pass_per_scenario(self):
         """run_table re-collects once per scenario, not once per classifier."""
-        reset_global_stats()
+        metrics().clear()
         suite = run_table(
             "IV",
             subsample=3,
@@ -174,15 +170,15 @@ class TestStats:
             cache=CollectionCache(),
         )
         assert len(suite.cells) == 2
-        stats = global_stats()
+        registry = metrics()
         # Table IV has one scenario (CREMA-D, 6 emotions); both classifier
         # rows must share one 18-utterance pass (3 per class x 6 emotions).
         # The two-phase run_table collects the scenario exactly once up
         # front and hands the bundle to every cell, so the second row no
         # longer needs even a cache hit.
-        assert stats.transmits == 18
-        assert stats.cache_hits == 0
-        assert stats.cache_misses == 1
+        assert registry.counter_total("transmits") == 18
+        assert registry.counter_total("cache_hits") == 0
+        assert registry.counter_total("cache_misses") == 1
 
 
 class TestChunkHelpers:

@@ -21,7 +21,6 @@ from repro.attack.engine import (
     _default_detector,
     collect_datasets,
     collection_key,
-    global_stats,
 )
 from repro.attack.regions import RegionDetector
 from repro.datasets.base import Corpus
@@ -75,9 +74,8 @@ class TestExceptionAccounting:
         assert reg.timer("detect", status="error").count == 2
         assert reg.timer("detect", status="ok").count == SPECS - 1
         assert reg.timer("product", status="ok").count == SPECS - 1
-        stats = global_stats()
-        assert stats.render_s > 0
-        assert stats.detect_s > 0
+        assert reg.timer_total("render").total_s > 0
+        assert reg.timer_total("detect").total_s > 0
 
     def test_spans_carry_error_status(self, tiny_tess, loud_channel):
         _bombed_pass(tiny_tess, loud_channel)
@@ -101,15 +99,17 @@ class TestExceptionAccounting:
 
     def test_counters_unpublished_on_failure(self, tiny_tess, loud_channel):
         """The failing row's counters are never published, its timers are."""
-        bombed, _ = _bombed_pass(tiny_tess, loud_channel)
+        _bombed_pass(tiny_tess, loud_channel)
         reg = metrics()
         assert reg.counter_total("batch.chunk_fallbacks") == 1
         assert reg.counter_total("batch.rows_isolated") == 1
-        stats = global_stats()
-        assert stats.transmits == stats.renders == SPECS - 1
-        assert stats.n_played == SPECS
-        assert bombed.stats.transmits == SPECS - 1
-        assert stats.transmit_s == pytest.approx(reg.timer_total("transmit").total_s)
+        assert reg.counter_total("transmits") == reg.counter_total("renders") == SPECS - 1
+        assert reg.counter_total("n_played") == SPECS
+        # Every transmit span's time is in the timer once, the failed
+        # row's included.
+        (collect,) = tracer().find("collect")
+        transmit_s = sum(s.duration_s for s in collect.walk() if s.name == "transmit")
+        assert reg.timer_total("transmit").total_s == pytest.approx(transmit_s)
 
     def test_healthy_run_unaffected_by_prior_failure(self, tiny_tess, loud_channel):
         bombed, clean = _bombed_pass(tiny_tess, loud_channel)
@@ -123,7 +123,7 @@ class TestExceptionAccounting:
             tiny_tess, loud_channel, specs=tiny_tess.specs[:SPECS], seed=1
         )
         assert again.features.X.tobytes() == clean.features.X.tobytes()
-        assert global_stats().transmits == (SPECS - 1) + SPECS
+        assert metrics().counter_total("transmits") == (SPECS - 1) + SPECS
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,9 @@ class TestWorkerDeath:
         assert key not in cache and len(cache) == 0
         assert cache.lookup_products(key) is None
         assert list(tmp_path.iterdir()) == []
-        stats = global_stats()
         for name in ("renders", "transmits", "regions_detected", "regions_used",
                      "n_played", "cache_hits", "cache_misses"):
-            assert getattr(stats, name) == 0, name
+            assert metrics().counter_total(name) == 0, name
         (collect,) = tracer().find("collect")
         assert collect.status == "error"
 

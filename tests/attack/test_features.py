@@ -162,54 +162,57 @@ class TestExtractFeatures:
         assert np.all(np.isfinite(vec))
 
 
+def _small_plan_cache(monkeypatch, maxsize):
+    """Swap ``features._plan`` for the same builder behind a ``maxsize`` LRU."""
+    from functools import lru_cache
+
+    from repro.attack import features
+
+    small = lru_cache(maxsize=maxsize)(features._plan.__wrapped__)
+    monkeypatch.setattr(features, "_plan", small)
+    return small
+
+
 class TestPlanCache:
+    def test_default_cap(self):
+        from repro.attack import features
+
+        assert features._plan.cache_info().maxsize == 1024
+
     def test_bounded_and_evicted_length_rebuilds_identically(self, monkeypatch):
         """Client-chosen window lengths cannot grow the constants cache
         without bound, and an evicted length rebuilds byte-identically."""
-        from collections import OrderedDict
-
-        from repro.attack import features
-
-        monkeypatch.setattr(features, "_PLAN_CACHE", OrderedDict())
-        monkeypatch.setattr(features, "_PLAN_CACHE_MAX", 4)
+        plan = _small_plan_cache(monkeypatch, 4)
         rng = np.random.default_rng(3)
         first = rng.normal(size=100)
         before = extract_features(first, 420.0)
-        assert (100, 420.0, "d") in features._PLAN_CACHE
         for n in range(101, 111):
             extract_features(rng.normal(size=n), 420.0)
-            assert len(features._PLAN_CACHE) <= 4
-        assert (100, 420.0, "d") not in features._PLAN_CACHE
+            assert plan.cache_info().currsize <= 4
+        misses = plan.cache_info().misses
         assert extract_features(first, 420.0).tobytes() == before.tobytes()
-        assert (100, 420.0, "d") in features._PLAN_CACHE
+        assert plan.cache_info().misses == misses + 1  # it was evicted
 
     def test_recently_used_length_survives(self, monkeypatch):
-        from collections import OrderedDict
-
-        from repro.attack import features
-
-        monkeypatch.setattr(features, "_PLAN_CACHE", OrderedDict())
-        monkeypatch.setattr(features, "_PLAN_CACHE_MAX", 3)
+        plan = _small_plan_cache(monkeypatch, 3)
         hot = np.ones(64)
         for n in (65, 66, 67, 68):
             extract_features(hot, 420.0)
             extract_features(np.ones(n), 420.0)
-        assert (64, 420.0, "d") in features._PLAN_CACHE
+        misses = plan.cache_info().misses
+        extract_features(hot, 420.0)
+        assert plan.cache_info().misses == misses  # still cached
 
     def test_threads_share_a_tiny_cache_safely(self, monkeypatch):
         """More threads than cores churn a 5-plan cache; every answer
         still matches its single-threaded bytes and the cap holds."""
         import sys
         import threading
-        from collections import OrderedDict
-
-        from repro.attack import features
 
         rng = np.random.default_rng(11)
         rows = [rng.normal(size=n) for n in range(40, 60)]
         expected = [extract_features(row, 420.0).tobytes() for row in rows]
-        monkeypatch.setattr(features, "_PLAN_CACHE", OrderedDict())
-        monkeypatch.setattr(features, "_PLAN_CACHE_MAX", 5)
+        plan = _small_plan_cache(monkeypatch, 5)
         mismatches = []
 
         def churn(seed):
@@ -230,4 +233,4 @@ class TestPlanCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
-        assert len(features._PLAN_CACHE) <= 5
+        assert plan.cache_info().currsize <= 5

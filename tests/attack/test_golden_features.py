@@ -38,7 +38,7 @@ def _channel() -> VibrationChannel:
 def _collect(executor: str, n_jobs: int = 2):
     """All per-utterance products for the fixed triple, spec-aligned."""
     corpus = build_tess(**CORPUS_ARGS)
-    products, _ = collect_per_utterance_products(
+    products = collect_per_utterance_products(
         corpus,
         _channel(),
         seed=SEED,

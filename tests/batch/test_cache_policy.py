@@ -4,8 +4,7 @@ A float32 hot-path pass and a float64 golden pass produce different
 arrays; if they shared a cache key, whichever ran first would poison the
 other. ``collection_key`` folds the active compute dtype into the
 digest, with ``None`` normalising to ``"float64"``. The policy applies to
-every table-top pass, the ``per_utterance`` alias (chunks of one)
-included.
+every table-top pass, chunks of one included.
 """
 
 import numpy as np
@@ -109,14 +108,12 @@ class TestCrossPolicyCache:
         )
 
     def test_per_utterance_pipeline_is_chunks_of_one(self, tiny_tess, loud_channel):
+        """One utterance at a time (``batch_chunk=1``) honours the policy."""
         specs = tiny_tess.specs[:4]
         with batch_policy_scope(compute_dtype="float32"):
-            ref = collect_datasets(
-                tiny_tess, loud_channel, specs=specs, seed=4, batch_chunk=1
-            )
+            ref = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
             got = collect_datasets(
-                tiny_tess, loud_channel, specs=specs, seed=4,
-                pipeline="per_utterance",
+                tiny_tess, loud_channel, specs=specs, seed=4, batch_chunk=1
             )
         assert got.features.X.dtype == np.float32
         assert got.features.X.tobytes() == ref.features.X.tobytes()

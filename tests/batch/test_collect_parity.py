@@ -2,22 +2,16 @@
 
 Under the golden float64 batch policy, ``collect_datasets`` must return
 datasets byte-identical to the frozen one-utterance-at-a-time reference
-(``tests/attack/_collect_reference.py``), at any chunk size, under any
-executor and through the ``per_utterance`` alias for chunks of one: the
-batched data plane is a pure reorganisation of the work, not a
-numerical variant.
+(``tests/attack/_collect_reference.py``), at any chunk size (chunks of
+one included) and under any executor: the batched data plane is a pure
+reorganisation of the work, not a numerical variant.
 """
 
-import numpy as np
 import pytest
 
-from repro.attack.engine import (
-    DEFAULT_BATCH_CHUNK,
-    DEFAULT_PIPELINE,
-    PIPELINES,
-    collect_datasets,
-)
+from repro.attack.engine import DEFAULT_BATCH_CHUNK, collect_datasets
 from repro.attack.pipeline import EmoLeakAttack
+from repro.obs import capture_observability
 from tests.attack._collect_reference import collect_reference
 
 
@@ -40,8 +34,6 @@ def reference(request):
 
 class TestPipelineDispatch:
     def test_defaults(self):
-        assert DEFAULT_PIPELINE == "batched"
-        assert set(PIPELINES) == {"batched", "per_utterance"}
         assert DEFAULT_BATCH_CHUNK >= 1
 
     def test_unknown_pipeline_rejected(self, tiny_tess, loud_channel):
@@ -53,12 +45,11 @@ class TestPipelineDispatch:
                 pipeline="vectorised",
             )
 
-    def test_dash_alias(self, tiny_tess, loud_channel, reference):
-        specs, ref = reference
-        got = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, pipeline="per-utterance"
-        )
-        assert _bytes(got) == _bytes(ref)
+    def test_per_utterance_pipeline_removed(self, tiny_tess, loud_channel):
+        with pytest.raises(ValueError, match="batch_chunk=1"):
+            collect_datasets(
+                tiny_tess, loud_channel, specs=tiny_tess.specs[:2], pipeline="per_utterance"
+            )
 
 
 class TestBatchedParity:
@@ -104,7 +95,7 @@ class TestBatchedParity:
         specs, ref = reference
         got = collect_datasets(
             tiny_tess, loud_channel, specs=specs, seed=4,
-            pipeline="per_utterance", executor=executor, n_jobs=n_jobs,
+            batch_chunk=1, executor=executor, n_jobs=n_jobs,
         )
         assert _bytes(got) == _bytes(ref)
 
@@ -117,22 +108,24 @@ class TestBatchedParity:
 
     def test_counters_match_reference(self, tiny_tess, loud_channel, reference):
         specs, ref = reference
-        one_at_a_time = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, pipeline="per_utterance"
-        )
-        got = collect_datasets(
-            tiny_tess,
-            loud_channel,
-            specs=specs,
-            seed=4,
-            pipeline="batched",
-            batch_chunk=5,
-        )
-        for field in ("renders", "transmits", "regions_detected", "regions_used",
-                      "n_played"):
-            assert getattr(got.stats, field) == getattr(one_at_a_time.stats, field)
-        assert got.stats.renders == got.stats.transmits == ref.features.n_played
-        assert got.stats.regions_used == ref.spectrograms.images.shape[0]
+        with capture_observability() as one_at_a_time:
+            collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4, batch_chunk=1)
+        with capture_observability() as batched:
+            collect_datasets(
+                tiny_tess,
+                loud_channel,
+                specs=specs,
+                seed=4,
+                pipeline="batched",
+                batch_chunk=5,
+            )
+        got = batched.registry
+        for name in ("renders", "transmits", "regions_detected", "regions_used",
+                     "n_played"):
+            assert got.counter_total(name) == one_at_a_time.registry.counter_total(name)
+        assert got.counter_total("renders") == got.counter_total("transmits")
+        assert got.counter_total("transmits") == ref.features.n_played
+        assert got.counter_total("regions_used") == ref.spectrograms.images.shape[0]
 
     def test_handheld_per_utterance_protocol(self, tiny_tess, ear_channel):
         # Handheld + continuous=False exercises the per-item channel
@@ -147,9 +140,7 @@ class TestBatchedParity:
 
     def test_continuous_ignores_pipeline(self, tiny_tess, ear_channel):
         specs = tiny_tess.specs[:4]
-        ref = collect_datasets(
-            tiny_tess, ear_channel, specs=specs, seed=2, pipeline="per_utterance"
-        )
+        ref = collect_datasets(tiny_tess, ear_channel, specs=specs, seed=2, batch_chunk=1)
         got = collect_datasets(
             tiny_tess, ear_channel, specs=specs, seed=2, pipeline="batched"
         )
@@ -159,9 +150,7 @@ class TestBatchedParity:
 class TestAttackObjectPassThrough:
     def test_pipeline_knob_reaches_engine(self, tiny_tess, loud_channel, reference):
         specs, ref = reference
-        attack = EmoLeakAttack(
-            loud_channel, seed=4, pipeline="batched", batch_chunk=3
-        )
+        attack = EmoLeakAttack(loud_channel, seed=4, batch_chunk=3)
         features = attack.collect_features(tiny_tess, specs=specs)
         assert features.X.tobytes() == ref.features.X.tobytes()
         both = attack.collect_datasets(tiny_tess, specs=specs)

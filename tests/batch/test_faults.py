@@ -9,16 +9,11 @@ a cache in front of the pass stays coherent.
 """
 
 import numpy as np
-import pytest
 
-from repro.attack.engine import (
-    CollectionCache,
-    collect_datasets,
-    reset_global_stats,
-)
+from repro.attack.engine import CollectionCache, collect_datasets
 from repro.attack.regions import RegionDetector
 from repro.batch import batch_policy_scope
-from repro.obs import metrics, reset_observability, tracer
+from repro.obs import capture_observability, metrics, reset_observability, tracer
 
 
 class PoisonedCorpus:
@@ -138,17 +133,17 @@ class TestRowIsolation:
     def test_counters_count_only_successful_rows(self, tiny_tess, loud_channel):
         specs = tiny_tess.specs[:6]
         bad_corpus = PoisonedCorpus(tiny_tess, [specs[2].utterance_id])
-        reset_global_stats()
-        result = collect_datasets(
+        metrics().clear()
+        collect_datasets(
             bad_corpus, loud_channel, specs=specs, seed=4,
             pipeline="batched", batch_chunk=6,
         )
         # The isolated row never completed transmit/detect, so per-row
         # counters reflect the survivors only; n_played still counts the
         # whole pass.
-        assert result.stats.transmits == len(specs) - 1
-        assert result.stats.renders == len(specs) - 1
-        assert result.stats.n_played == len(specs)
+        assert metrics().counter_total("transmits") == len(specs) - 1
+        assert metrics().counter_total("renders") == len(specs) - 1
+        assert metrics().counter_total("n_played") == len(specs)
 
     def test_cache_stays_coherent_after_fallback(self, tiny_tess, loud_channel):
         specs = tiny_tess.specs[:6]
@@ -173,11 +168,12 @@ class TestNoRegions:
         # empty datasets with the full play count, not crash.
         detector = RegionDetector(threshold_factor=1e9, min_peak_ratio=1e9)
         specs = tiny_tess.specs[:5]
-        result = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4,
-            detector=detector, pipeline="batched",
-        )
+        with capture_observability() as recorded:
+            result = collect_datasets(
+                tiny_tess, loud_channel, specs=specs, seed=4,
+                detector=detector, pipeline="batched",
+            )
         assert result.features.X.shape == (0, 24)
         assert result.spectrograms.images.shape[0] == 0
         assert result.features.n_played == len(specs)
-        assert result.stats.regions_used == 0
+        assert recorded.registry.counter_total("regions_used") == 0

@@ -4,8 +4,8 @@ import threading
 
 import pytest
 
-from repro.attack.engine import collect_datasets, global_stats, reset_global_stats
-from repro.obs import MetricsRegistry, Tracer
+from repro.attack.engine import collect_datasets
+from repro.obs import MetricsRegistry, Tracer, metrics, reset_observability, tracer
 
 N_THREADS = 8
 N_OPS = 2500
@@ -83,18 +83,25 @@ class TestPublishOnce:
         self, tiny_tess, loud_channel, executor
     ):
         specs = tiny_tess.specs[:8]
-        reset_global_stats()
+        reset_observability()
         result = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=3,
+            tiny_tess, loud_channel, specs=specs, seed=3, batch_chunk=3,
             n_jobs=2 if executor != "serial" else 1, executor=executor,
         )
-        stats = global_stats()
+        registry = metrics()
         # Exactly the pass's own counts — a double publish would double them.
-        assert stats.transmits == len(specs)
-        assert stats.renders == len(specs)
-        assert stats.n_played == len(specs)
-        assert stats.regions_used == result.stats.regions_used
+        assert registry.counter_total("transmits") == len(specs)
+        assert registry.counter_total("renders") == len(specs)
+        assert registry.counter_total("n_played") == len(specs)
+        assert registry.counter_total("regions_used") == result.spectrograms.images.shape[0]
         # Stage time reached the registry exactly once too (every chunk's
-        # captured spans and timers are merged once, from any executor).
-        assert stats.render_s == pytest.approx(result.stats.render_s)
-        assert stats.transmit_s == pytest.approx(result.stats.transmit_s)
+        # captured spans and timers are merged once, from any executor):
+        # one observation per chunk span, summing to the spans' time.
+        (collect,) = tracer().find("collect")
+        for stage in ("render", "transmit"):
+            spans = [span for span in collect.walk() if span.name == stage]
+            assert len(spans) == 3
+            assert registry.timer_total(stage).count == len(spans)
+            assert registry.timer_total(stage).total_s == pytest.approx(
+                sum(span.duration_s for span in spans)
+            )

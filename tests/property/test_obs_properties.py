@@ -1,10 +1,9 @@
 """Property-based tests (hypothesis) for the observability layer.
 
 The registry's merge must be a commutative monoid — that is what makes
-combining per-worker registries safe in any order — and the engine's
-:class:`CollectionStats` must be a faithful view of the same algebra.
-Values are generated as integer-valued floats so additions are exact
-and the algebraic laws can be asserted with ``==``.
+combining per-worker registries safe in any order. Values are generated
+as integer-valued floats so additions are exact and the algebraic laws
+can be asserted with ``==``.
 """
 
 import math
@@ -13,7 +12,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attack.engine import _COUNTER_FIELDS, _TIMER_FIELDS, CollectionStats
 from repro.obs import MetricsRegistry, TimerStat, Tracer
 from repro.obs.metrics import HIST_RATIO
 
@@ -160,69 +158,3 @@ class TestSpanTimerBounds:
             assert reg.timer_total(name).total_s >= span.duration_s or np.isclose(
                 reg.timer_total(name).total_s, span.duration_s
             )
-
-
-# -- CollectionStats <-> registry agreement ---------------------------------
-
-_COUNTS = st.integers(min_value=0, max_value=500)
-_SECONDS = st.integers(min_value=0, max_value=1000).map(float)
-
-stats_records = st.builds(
-    CollectionStats,
-    renders=_COUNTS,
-    transmits=_COUNTS,
-    regions_detected=_COUNTS,
-    regions_used=_COUNTS,
-    n_played=_COUNTS,
-    cache_hits=_COUNTS,
-    cache_misses=_COUNTS,
-    render_s=_SECONDS,
-    transmit_s=_SECONDS,
-    detect_s=_SECONDS,
-    product_s=_SECONDS,
-    total_s=_SECONDS,
-    n_jobs=st.integers(min_value=1, max_value=16),
-    executor=st.sampled_from(["serial", "thread", "process"]),
-)
-
-_NUMERIC_FIELDS = (
-    "renders", "transmits", "regions_detected", "regions_used", "n_played",
-    "cache_hits", "cache_misses",
-    "render_s", "transmit_s", "detect_s", "product_s", "total_s",
-)
-
-
-def _recorded(stats: CollectionStats) -> MetricsRegistry:
-    """The registry of a pass that recorded exactly ``stats``."""
-    registry = MetricsRegistry()
-    for name in _COUNTER_FIELDS:
-        if getattr(stats, name):
-            registry.count(name, getattr(stats, name))
-    for name, timer in _TIMER_FIELDS.items():
-        if getattr(stats, name):
-            registry.observe(timer, getattr(stats, name), status="ok")
-    registry.gauge("engine.n_jobs", stats.n_jobs, executor=stats.executor)
-    return registry
-
-
-class TestStatsRegistryAgreement:
-    @given(stats_records, stats_records)
-    @settings(max_examples=50, deadline=None)
-    def test_merged_registries_sum_fieldwise(self, a, b):
-        view = CollectionStats.from_registry(_recorded(a).merge(_recorded(b)))
-
-        for field in _NUMERIC_FIELDS:
-            assert getattr(view, field) == getattr(a, field) + getattr(b, field), field
-        # The pool reads as the widest one either pass ran.
-        assert view.n_jobs == max(a.n_jobs, b.n_jobs)
-        if a.n_jobs != b.n_jobs:
-            assert view.executor == (a if a.n_jobs > b.n_jobs else b).executor
-
-    @given(stats_records)
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_through_registry(self, stats):
-        view = CollectionStats.from_registry(_recorded(stats))
-        for field in _NUMERIC_FIELDS:
-            assert getattr(view, field) == getattr(stats, field), field
-        assert view.n_jobs == stats.n_jobs
-        assert view.executor == stats.executor

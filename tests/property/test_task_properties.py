@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.datasets import TASKS, build_savee, build_songs, build_tess, resolve_task
 from repro.datasets.base import GENDER_F0_SPLIT_HZ
-from repro.speech import synthesizer as synth_mod
 from repro.speech.synthesizer import SpeakerVoice, _cached_ramp
 
 SPEECH_CORPORA = {
@@ -96,4 +95,5 @@ class TestRampCacheProperties:
         if power is not None:
             expected = expected**power
         assert ramp.tobytes() == expected.tobytes()
-        assert len(synth_mod._RAMP_CACHE) <= synth_mod._RAMP_CACHE_MAX
+        info = _cached_ramp.cache_info()
+        assert info.currsize <= info.maxsize

@@ -2,11 +2,14 @@
 
 The synthesizer memoizes ``np.linspace``-equivalent ramps keyed by
 ``(start, stop, n, power)``. The cache must (a) return byte-identical
-values to fresh linspace computations, (b) stay bounded at
-``_RAMP_CACHE_MAX`` entries under non-repeating workloads, and (c) evict
+values to fresh linspace computations, (b) stay bounded at its
+``lru_cache`` cap under non-repeating workloads, and (c) evict
 least-recently-used entries first so repeating syllable lengths stay
-warm.
+warm. The bound and eviction checks run on a small cap by re-wrapping
+the module function.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,13 +18,11 @@ from repro.speech import synthesizer as synth_mod
 from repro.speech.synthesizer import _cached_ramp
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    saved = dict(synth_mod._RAMP_CACHE)
-    synth_mod._RAMP_CACHE.clear()
-    yield
-    synth_mod._RAMP_CACHE.clear()
-    synth_mod._RAMP_CACHE.update(saved)
+def _small_cache(monkeypatch, maxsize):
+    """Swap ``_cached_ramp`` for the same builder behind a ``maxsize`` LRU."""
+    small = lru_cache(maxsize=maxsize)(_cached_ramp.__wrapped__)
+    monkeypatch.setattr(synth_mod, "_cached_ramp", small)
+    return small
 
 
 def _reference(start, stop, n, power=None):
@@ -55,34 +56,38 @@ def test_cached_ramp_byte_identical_to_linspace(start, stop, n, power):
 
 
 def test_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(synth_mod, "_RAMP_CACHE_MAX", 16)
+    assert _cached_ramp.cache_info().maxsize == 4096
+    ramp = _small_cache(monkeypatch, 16)
     for n in range(2, 100):
-        _cached_ramp(0.0, 1.0, n)
-    assert len(synth_mod._RAMP_CACHE) <= 16
+        ramp(0.0, 1.0, n)
+        assert ramp.cache_info().currsize <= 16
 
 
 def test_lru_eviction_keeps_recently_used(monkeypatch):
-    monkeypatch.setattr(synth_mod, "_RAMP_CACHE_MAX", 4)
+    ramp = _small_cache(monkeypatch, 4)
     for n in (2, 3, 4, 5):
-        _cached_ramp(0.0, 1.0, n)
+        ramp(0.0, 1.0, n)
     # Touch the oldest entry, then insert one more: the touched entry
     # must survive and the least-recently-used one (n=3) must go.
-    _cached_ramp(0.0, 1.0, 2)
-    _cached_ramp(0.0, 1.0, 6)
-    keys = {key[2] for key in synth_mod._RAMP_CACHE}
-    assert 2 in keys
-    assert 3 not in keys
-    assert len(synth_mod._RAMP_CACHE) == 4
+    ramp(0.0, 1.0, 2)
+    ramp(0.0, 1.0, 6)
+    assert ramp.cache_info().currsize == 4
+    misses = ramp.cache_info().misses
+    ramp(0.0, 1.0, 2)
+    assert ramp.cache_info().misses == misses
+    ramp(0.0, 1.0, 3)
+    assert ramp.cache_info().misses == misses + 1
 
 
 def test_evicted_ramp_rebuilds_byte_identical(monkeypatch):
-    monkeypatch.setattr(synth_mod, "_RAMP_CACHE_MAX", 2)
-    first = _cached_ramp(0.2, 0.8, 97, 1.5).copy()
+    ramp = _small_cache(monkeypatch, 2)
+    first = ramp(0.2, 0.8, 97, 1.5).copy()
     # Force eviction of the first entry, then rebuild it.
     for n in (10, 11, 12):
-        _cached_ramp(0.0, 1.0, n)
-    assert (0.2, 0.8, 97, 1.5) not in synth_mod._RAMP_CACHE
-    rebuilt = _cached_ramp(0.2, 0.8, 97, 1.5)
+        ramp(0.0, 1.0, n)
+    misses = ramp.cache_info().misses
+    rebuilt = ramp(0.2, 0.8, 97, 1.5)
+    assert ramp.cache_info().misses == misses + 1  # it was evicted
     assert rebuilt.tobytes() == first.tobytes()
 
 
@@ -95,10 +100,9 @@ def test_render_unchanged_by_cache_churn(monkeypatch, render_memo):
     baseline = corpus.render(spec)
     # Shrink the cache and churn it so renders run with constant
     # eviction pressure, then re-render.
-    monkeypatch.setattr(synth_mod, "_RAMP_CACHE_MAX", 1)
-    synth_mod._RAMP_CACHE.clear()
+    ramp = _small_cache(monkeypatch, 1)
     for n in range(2, 50):
-        _cached_ramp(0.0, 1.0, n)
+        ramp(0.0, 1.0, n)
     render_memo.clear()  # re-synthesise rather than return the memoised wave
     again = corpus.render(spec)
     assert again.tobytes() == baseline.tobytes()
