@@ -46,6 +46,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,12 +208,8 @@ def _detect_chunk(
 
     # Stage timers are keyed by status alone; the chunk size stays on
     # the trace.
-    render_batch = getattr(corpus, "render_batch", None)
     with trace("render", n=n, metric_labels={}):
-        if render_batch is not None:
-            audios = render_batch(specs)
-        else:
-            audios = [corpus.render(spec) for spec in specs]
+        audios = corpus.render_batch(specs)
 
     # Pad with silence so the detector sees the noise floor.
     pad = int(_UTTERANCE_PAD_S * corpus.audio_fs)
@@ -667,13 +664,13 @@ class CollectionCache:
     """Registry of finished collection passes.
 
     In-memory by default; pass ``cache_dir`` to also persist each pass as
-    an ``.npz`` bundle (via :mod:`repro.eval.io`) that later processes —
-    or later runs — can reload instead of re-collecting. A bundle stores
-    its pass key and a sha256 of its arrays; :meth:`lookup` verifies
-    both before it rebuilds the pass, so a bundle that is unreadable,
-    altered, filed under another key's name or written before bundles
-    were hashed is a miss counted as ``cache.disk_corrupt``, and is
-    rewritten when the pass is collected again.
+    a ``{key}.npz`` :mod:`repro.artifact` file (via :mod:`repro.eval.io`)
+    that later processes — or later runs — can reload instead of
+    re-collecting. :meth:`lookup` verifies the file's member hashes and
+    pass key before it rebuilds the pass, so a file that is unreadable,
+    altered, filed under another key's name or in an older format is a
+    miss counted as ``cache.disk_corrupt``, and is rewritten when the
+    pass is collected again.
 
     Alongside finished (already-labelled) results the cache keeps a
     memory-only *products* layer keyed by the task-independent base key:
@@ -692,12 +689,8 @@ class CollectionCache:
         self._products = ByteBudgetMemo(
             COLLECTION_CACHE_BYTES, "cache.products_evictions"
         )
-        self.cache_dir = None
-        if cache_dir is not None:
-            from pathlib import Path
-
-            self.cache_dir = Path(cache_dir)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        # The artifact writer makes the directory on the first store.
+        self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.hits = 0
         self.misses = 0
 
@@ -729,8 +722,8 @@ class CollectionCache:
             try:
                 result = load_collection(path, key=key)
             except Exception:  # noqa: BLE001 - any unreadable bundle
-                # A truncated, altered, misfiled or unhashed bundle is a
-                # miss: the caller collects again and store() atomically
+                # A truncated, altered, misfiled or older-format file is
+                # a miss: the caller collects again and store() atomically
                 # replaces it.
                 metrics().count("cache.disk_corrupt")
                 return None
@@ -982,18 +975,3 @@ def collect_datasets(
         cache.store_products(base_key, products, len(specs))
         cache.store(key, result)
     return result
-
-
-def _rebuild_result(
-    X: np.ndarray,
-    y_features: np.ndarray,
-    images: np.ndarray,
-    y_images: np.ndarray,
-    fs: float,
-    n_played: int,
-) -> CollectionResult:
-    """Reassemble a CollectionResult from persisted arrays (see eval.io)."""
-    return CollectionResult(
-        features=FeatureDataset(X=X, y=y_features, fs=fs, n_played=n_played),
-        spectrograms=SpectrogramDataset(images=images, y=y_images, fs=fs, n_played=n_played),
-    )

@@ -4,24 +4,27 @@ The paper's tooling exported time/frequency features to Weka ``.arff``
 files (Section IV-D1), CSV for the feature CNN (IV-D2), and packed the
 train/test spectrograms into HDF5 (IV-C1). This module reproduces that
 interchange surface with dependency-free equivalents: ARFF and CSV text
-writers for :class:`~repro.attack.pipeline.FeatureDataset`, ``.npz``
-bundles for :class:`~repro.attack.pipeline.SpectrogramDataset` (numpy's
-portable container standing in for HDF5), and JSON for experiment
-results.
+writers for :class:`~repro.attack.pipeline.FeatureDataset`, JSON for
+experiment results, and hashed array files standing in for HDF5.
+
+Spectrogram datasets and collection passes (the on-disk leg of the
+engine's :class:`~repro.attack.engine.CollectionCache`) are
+:mod:`repro.artifact` containers: a zip, conventionally named ``.npz``,
+holding one ``.npy`` member per array and a ``manifest.json`` with each
+member's sha256 (plus the pass key for a collection). They are written
+atomically and verified member by member before any array is parsed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import uuid
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.attack.engine import CollectionResult, _rebuild_result
+from repro.artifact import ArtifactIntegrityError, read_artifact, write_artifact
+from repro.attack.engine import CollectionResult
 from repro.attack.pipeline import FeatureDataset, SpectrogramDataset
 from repro.eval.experiment import ExperimentResult
 
@@ -32,7 +35,6 @@ __all__ = [
     "load_spectrograms",
     "save_collection",
     "load_collection",
-    "CorruptBundleError",
     "result_to_json",
 ]
 
@@ -74,116 +76,76 @@ def to_csv(dataset: FeatureDataset) -> str:
 
 
 def save_spectrograms(dataset: SpectrogramDataset, path: _PathLike) -> None:
-    """Persist a spectrogram dataset as a compressed ``.npz`` bundle."""
+    """Persist a spectrogram dataset as a hashed ``.npz`` artifact."""
     if dataset.images.shape[0] == 0:
         raise ValueError("cannot export an empty dataset")
-    np.savez_compressed(
-        Path(path),
-        images=dataset.images,
-        labels=np.asarray(dataset.y, dtype=str),
-        fs=np.array([dataset.fs]),
-        n_played=np.array([dataset.n_played]),
-    )
+    arrays = {
+        "images.npy": dataset.images,
+        "labels.npy": np.asarray(dataset.y, dtype=str),
+        "fs.npy": np.array([dataset.fs]),
+        "n_played.npy": np.array([dataset.n_played]),
+    }
+    write_artifact(path, arrays, lambda table: {"members": table})
 
 
 def load_spectrograms(path: _PathLike) -> SpectrogramDataset:
-    """Load a spectrogram dataset saved by :func:`save_spectrograms`."""
-    with np.load(Path(path), allow_pickle=False) as bundle:
-        return SpectrogramDataset(
-            images=bundle["images"],
-            y=bundle["labels"],
-            fs=float(bundle["fs"][0]),
-            n_played=int(bundle["n_played"][0]),
-        )
+    """Load a spectrogram dataset saved by :func:`save_spectrograms`.
 
-
-class CorruptBundleError(ValueError):
-    """A collection bundle that fails its content-hash or key check."""
-
-
-#: Array members of a collection bundle, in the order they are hashed.
-_COLLECTION_ARRAYS = ("X", "y_features", "images", "y_images", "fs", "n_played")
-
-
-def _collection_sha256(arrays: Dict[str, np.ndarray]) -> str:
-    """sha256 over every array's name, dtype, shape and bytes."""
-    digest = hashlib.sha256()
-    for name in _COLLECTION_ARRAYS:
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
-        digest.update(array.data)
-    return digest.hexdigest()
+    A file that fails verification raises
+    :class:`~repro.artifact.ArtifactIntegrityError`.
+    """
+    _, arrays = read_artifact(path)
+    return SpectrogramDataset(
+        images=arrays["images.npy"],
+        y=arrays["labels.npy"],
+        fs=float(arrays["fs.npy"][0]),
+        n_played=int(arrays["n_played.npy"][0]),
+    )
 
 
 def save_collection(
     result: CollectionResult, path: _PathLike, key: Optional[str] = None
 ) -> None:
-    """Persist one collection pass (both datasets) as an ``.npz`` bundle.
+    """Persist one collection pass (both datasets) as a hashed artifact.
 
     The on-disk leg of the engine's :class:`CollectionCache`: a pass
     saved here can be reloaded by a later process instead of re-running
-    render→transmit→detect. The bundle is stored uncompressed (deflate
-    saved 7 % of the bytes at 24× the write time) and carries the pass
-    ``key`` (empty when None) and a sha256 of its arrays, which
-    :func:`load_collection` verifies. The write is atomic: the bundle is
-    written to a temporary file beside ``path`` and renamed over it only
-    once complete, so a crash mid-write never leaves a truncated bundle
-    under the final name.
+    render→transmit→detect. The pass ``key`` (empty when None) sits in
+    the manifest, which :func:`load_collection` checks.
     """
-    path = Path(path)
-    if not path.name.endswith(".npz"):  # np.savez's naming rule
-        path = path.with_name(path.name + ".npz")
     arrays = {
-        "X": result.features.X,
-        "y_features": np.asarray(result.features.y, dtype=str),
-        "images": result.spectrograms.images,
-        "y_images": np.asarray(result.spectrograms.y, dtype=str),
-        "fs": np.array([result.features.fs]),
-        "n_played": np.array([result.features.n_played]),
+        "X.npy": result.features.X,
+        "y_features.npy": np.asarray(result.features.y, dtype=str),
+        "images.npy": result.spectrograms.images,
+        "y_images.npy": np.asarray(result.spectrograms.y, dtype=str),
+        "fs.npy": np.array([result.features.fs]),
+        "n_played.npy": np.array([result.features.n_played]),
     }
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as handle:
-            np.savez(
-                handle,
-                key=np.array(key or ""),
-                sha256=np.array(_collection_sha256(arrays)),
-                **arrays,
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_artifact(path, arrays, lambda table: {"key": key or "", "members": table})
 
 
 def load_collection(path: _PathLike, key: Optional[str] = None) -> CollectionResult:
     """Load a collection pass saved by :func:`save_collection`.
 
-    The arrays are checked against the bundle's sha256 before the pass
-    is rebuilt, and with ``key`` the bundle must also have been saved
-    under that key. A bundle that fails either check, or that carries no
-    hash (written before bundles were hashed), raises
-    :class:`CorruptBundleError`.
+    Every member is verified before the pass is rebuilt, and with ``key``
+    the pass must also have been saved under that key. A file that fails
+    either check, or that is not a verified artifact at all (such as the
+    key+sha256 ``np.savez`` files written before this container), raises
+    :class:`~repro.artifact.ArtifactIntegrityError`.
     """
-    with np.load(Path(path), allow_pickle=False) as bundle:
-        arrays = {name: bundle[name] for name in _COLLECTION_ARRAYS}
-        stored_sha = str(bundle["sha256"]) if "sha256" in bundle.files else None
-        stored_key = str(bundle["key"]) if "key" in bundle.files else None
-    if stored_sha is None:
-        raise CorruptBundleError(f"{path}: bundle carries no content hash")
-    if _collection_sha256(arrays) != stored_sha:
-        raise CorruptBundleError(f"{path}: arrays do not match the bundle's sha256")
-    if key is not None and stored_key != key:
-        raise CorruptBundleError(
-            f"{path}: bundle was saved for key {stored_key!r}, not {key!r}"
+    manifest, arrays = read_artifact(path)
+    if key is not None and manifest.get("key") != key:
+        raise ArtifactIntegrityError(
+            f"{path}: pass was saved for key {manifest.get('key')!r}, not {key!r}"
         )
-    return _rebuild_result(
-        X=arrays["X"],
-        y_features=arrays["y_features"],
-        images=arrays["images"],
-        y_images=arrays["y_images"],
-        fs=float(arrays["fs"][0]),
-        n_played=int(arrays["n_played"][0]),
+    fs, n_played = float(arrays["fs.npy"][0]), int(arrays["n_played.npy"][0])
+    return CollectionResult(
+        features=FeatureDataset(
+            X=arrays["X.npy"], y=arrays["y_features.npy"], fs=fs, n_played=n_played
+        ),
+        spectrograms=SpectrogramDataset(
+            images=arrays["images.npy"], y=arrays["y_images.npy"], fs=fs, n_played=n_played
+        ),
     )
 
 

@@ -19,11 +19,13 @@ or a single ``.zip``:
   :class:`~repro.eval.experiment.SpectrogramCNNClassifier`), weights
   written by :meth:`repro.nn.model.Sequential.save_weights`.
 
-``load_bundle`` verifies *every* member hash against the manifest before
-parsing a single byte of model data — a tampered or truncated bundle is
-rejected with :class:`BundleIntegrityError` and never instantiates a
-model. Unknown format versions and classifier kinds are rejected just
-as loudly (:class:`BundleFormatError`).
+The container is :mod:`repro.artifact`: every save is atomic, so one
+that dies midway leaves the previous bundle loadable, and ``load_bundle``
+verifies *every* member hash before parsing a single byte of model data
+— a tampered or truncated bundle is rejected with
+:class:`BundleIntegrityError` and never instantiates a model. Unknown
+format versions and classifier kinds are rejected just as loudly
+(:class:`BundleFormatError`).
 
 Bundles come in *variants* (``float32`` — the default float pipeline,
 ``int8`` — the same CNN post-training-quantised via
@@ -41,19 +43,25 @@ bytes included — against the child manifest before anything is parsed).
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-import os
 import time
-import uuid
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.artifact import (
+    ArtifactError,
+    ArtifactIntegrityError,
+    encode_manifest,
+    member_table,
+    open_artifact,
+    sha256,
+    verify_members,
+    write_artifact,
+)
 from repro.attack.features import FEATURE_NAMES
 from repro.ml.persistence import (
     classifier_from_dict,
@@ -96,7 +104,6 @@ BUNDLE_VARIANTS = ("float32", "int8", "distilled-int8")
 #: Longest delta-bundle parent chain a reader will follow.
 DELTA_CHAIN_LIMIT = 8
 
-MANIFEST_MEMBER = "manifest.json"
 CLASSIFIER_MEMBER = "classifier.json"
 SCALER_MEMBER = "scaler.json"
 CNN_CONFIG_MEMBER = "cnn.json"
@@ -110,20 +117,14 @@ GATE_KIND = "privacy-gate"
 _PathLike = Union[str, Path]
 
 
-class BundleError(ValueError):
-    """Base class for bundle packaging/loading failures."""
+#: Bundle packaging/loading failures are the artifact container's errors.
+BundleError = ArtifactError
+#: A member is missing, undeclared, truncated, or fails its SHA-256 check.
+BundleIntegrityError = ArtifactIntegrityError
 
 
 class BundleFormatError(BundleError):
     """The bundle's declared format (version, member set, kind) is unknown."""
-
-
-class BundleIntegrityError(BundleError):
-    """A member is missing, truncated, or fails its SHA-256 check."""
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass
@@ -164,6 +165,11 @@ class BundleManifest:
         if self.delta_base and self.delta_base != self.parent:
             out.append(dict(self.delta_base))
         return out
+
+    def stamp(self, members: Dict[str, Dict[str, object]]) -> dict:
+        """Record the members table as written; returns :meth:`to_dict`."""
+        self.members = members
+        return self.to_dict()
 
     def to_dict(self) -> dict:
         payload = {
@@ -476,8 +482,18 @@ class ModelBundle:
 # -- member I/O --------------------------------------------------------------
 
 
+def _parse_member(members: Dict[str, bytes], name: str, source: str, parse=lambda x: x):
+    """``parse`` of a verified JSON member, None if absent; failures name it."""
+    if name not in members:
+        return None
+    try:
+        return parse(json.loads(members[name]))
+    except (ValueError, KeyError, TypeError) as exc:  # JSON and decode errors are ValueErrors
+        raise BundleFormatError(f"{source}: bad {name}: {exc}") from exc
+
+
 def _bundle_members(bundle: ModelBundle) -> Dict[str, bytes]:
-    """Serialise every non-manifest member to bytes."""
+    """Serialise every non-manifest member to bytes; refuse an empty bundle."""
     members: Dict[str, bytes] = {}
     if bundle.classifier is not None:
         members[CLASSIFIER_MEMBER] = json.dumps(
@@ -491,16 +507,9 @@ def _bundle_members(bundle: ModelBundle) -> Dict[str, bytes]:
         config, weights = _cnn_to_members(bundle.cnn)
         members[CNN_CONFIG_MEMBER] = json.dumps(config).encode()
         members[CNN_WEIGHTS_MEMBER] = weights
+    if not members:
+        raise BundleError("refusing to save an empty bundle (no predictors)")
     return members
-
-
-def _is_zip_path(path: Path) -> bool:
-    return path.suffix.lower() == ".zip"
-
-
-def _manifest_bytes(manifest: BundleManifest) -> bytes:
-    """The canonical on-disk encoding of a manifest."""
-    return json.dumps(manifest.to_dict(), indent=2).encode()
 
 
 def manifest_sha256(manifest: BundleManifest) -> str:
@@ -511,55 +520,22 @@ def manifest_sha256(manifest: BundleManifest) -> str:
     pointer recorded at derivation time can be checked against the
     parent artifact on disk at load time.
     """
-    return _sha256(_manifest_bytes(manifest))
-
-
-def _write_bundle(path: Path, manifest_bytes: bytes, members: Dict[str, bytes]) -> None:
-    """Write the manifest and ``members`` to ``path`` (``.zip`` or directory).
-
-    A ``.zip`` archive is written to a temporary file beside ``path`` and
-    renamed over it only once complete, so a save that fails midway
-    leaves the previous bundle at ``path`` whole and verifiable. A
-    directory bundle is written member by member in place.
-    """
-    if not _is_zip_path(path):
-        path.mkdir(parents=True, exist_ok=True)
-        (path / MANIFEST_MEMBER).write_bytes(manifest_bytes)
-        for name, data in members.items():
-            (path / name).write_bytes(data)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with zipfile.ZipFile(tmp, "x", compression=zipfile.ZIP_DEFLATED) as zf:
-            zf.writestr(MANIFEST_MEMBER, manifest_bytes)
-            for name, data in sorted(members.items()):
-                zf.writestr(name, data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return sha256(encode_manifest(manifest.to_dict()))
 
 
 def save_bundle(bundle: ModelBundle, path: _PathLike) -> BundleManifest:
     """Write a bundle to ``path`` (a directory, or a ``.zip`` archive).
 
     The manifest is (re)stamped with the SHA-256 of every member as
-    written, so a later :func:`load_bundle` can prove integrity.
-    Returns the stamped manifest.
+    written, so a later :func:`load_bundle` can prove integrity. The
+    save is atomic (:func:`repro.artifact.write_artifact`). Returns the
+    stamped manifest.
     """
-    path = Path(path)
     members = _bundle_members(bundle)
-    if not members:
-        raise BundleError("refusing to save an empty bundle (no predictors)")
-    bundle.manifest.members = {
-        name: {"sha256": _sha256(data), "bytes": len(data)}
-        for name, data in sorted(members.items())
-    }
     # A full save is self-contained: never carry a delta pin over from a
     # bundle that was loaded through a delta chain.
     bundle.manifest.delta_base = {}
-    _write_bundle(path, _manifest_bytes(bundle.manifest), members)
+    write_artifact(path, members, bundle.manifest.stamp)
     return bundle.manifest
 
 
@@ -576,25 +552,19 @@ def save_delta_bundle(
     the bundle, and every byte — parent-sourced or shipped — is verified
     against the child manifest before parsing.
     """
-    path = Path(path)
     if not parent.members:
         raise BundleError(
             f"parent manifest {parent.ref} has no stamped member hashes; "
             "save or load the parent bundle first"
         )
     members = _bundle_members(bundle)
-    if not members:
-        raise BundleError("refusing to save an empty bundle (no predictors)")
-    bundle.manifest.members = {
-        name: {"sha256": _sha256(data), "bytes": len(data)}
-        for name, data in sorted(members.items())
-    }
+    bundle.manifest.members = member_table(members)
     bundle.manifest.delta_base = {
         "ref": parent.ref,
         "manifest_sha256": manifest_sha256(parent),
     }
     changed = {name: members[name] for name in delta_members(bundle.manifest, parent)}
-    _write_bundle(path, _manifest_bytes(bundle.manifest), changed)
+    write_artifact(path, changed, lambda _shipped: bundle.manifest.to_dict())
     return bundle.manifest
 
 
@@ -677,7 +647,6 @@ def save_gate_bundle(
     predictor, and are marked ``provenance["kind"] == "privacy-gate"``.
     ``labels`` carries the grid's task list.
     """
-    path = Path(path)
     payload = report.to_payload() if hasattr(report, "to_payload") else dict(report)
     data = json.dumps(payload, indent=2, sort_keys=True).encode()
     merged_provenance = {
@@ -695,9 +664,8 @@ def save_gate_bundle(
         feature_schema=[],
         provenance=merged_provenance,
         created_unix=time.time(),
-        members={GATE_MEMBER: {"sha256": _sha256(data), "bytes": len(data)}},
     )
-    _write_bundle(path, _manifest_bytes(manifest), {GATE_MEMBER: data})
+    write_artifact(path, {GATE_MEMBER: data}, manifest.stamp)
     return manifest
 
 
@@ -712,7 +680,6 @@ def load_gate_bundle(path: _PathLike):
     """
     from repro.attack.privacy_gate import LeakageReport
 
-    path = Path(path)
     manifest, members = verify_bundle(path)
     source = str(path)
     kind = manifest.provenance.get("kind")
@@ -721,18 +688,9 @@ def load_gate_bundle(path: _PathLike):
             f"{source}: not a privacy-gate bundle "
             f"(provenance kind {kind!r}); use load_bundle for model bundles"
         )
-    if GATE_MEMBER not in members:
+    report = _parse_member(members, GATE_MEMBER, source, LeakageReport.from_payload)
+    if report is None:
         raise BundleFormatError(f"{source}: gate bundle packs no {GATE_MEMBER}")
-    try:
-        payload = json.loads(members[GATE_MEMBER].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleFormatError(f"{source}: bad {GATE_MEMBER}: {exc}") from exc
-    try:
-        report = LeakageReport.from_payload(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleFormatError(
-            f"{source}: malformed gate payload: {exc}"
-        ) from exc
     return manifest, report
 
 
@@ -742,48 +700,8 @@ def read_manifest(path: _PathLike) -> BundleManifest:
     For introspection only (e.g. learning a delta parent's ref before
     resolution); never parse model members based on this alone.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no bundle at {path}")
-    if _is_zip_path(path) or path.is_file():
-        try:
-            with zipfile.ZipFile(path) as zf:
-                manifest_bytes = zf.read(MANIFEST_MEMBER)
-        except (zipfile.BadZipFile, KeyError) as exc:
-            raise BundleIntegrityError(
-                f"{path}: cannot read {MANIFEST_MEMBER}: {exc}"
-            ) from exc
-    else:
-        member = path / MANIFEST_MEMBER
-        if not member.is_file():
-            raise BundleIntegrityError(f"{path}: bundle has no {MANIFEST_MEMBER}")
-        manifest_bytes = member.read_bytes()
-    try:
-        payload = json.loads(manifest_bytes.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleIntegrityError(
-            f"{path}: {MANIFEST_MEMBER} is not valid JSON: {exc}"
-        ) from exc
+    payload, _, _ = open_artifact(path)
     return BundleManifest.from_dict(payload, source=str(path))
-
-
-def _read_members(path: Path) -> Dict[str, bytes]:
-    """All member bytes of a bundle directory or zip, by member name."""
-    if not path.exists():
-        raise FileNotFoundError(f"no bundle at {path}")
-    if _is_zip_path(path) or path.is_file():
-        try:
-            with zipfile.ZipFile(path) as zf:
-                return {info.filename: zf.read(info) for info in zf.infolist()}
-        except zipfile.BadZipFile as exc:
-            raise BundleIntegrityError(
-                f"{path}: not a readable bundle archive: {exc}"
-            ) from exc
-    return {
-        member.name: member.read_bytes()
-        for member in sorted(path.iterdir())
-        if member.is_file()
-    }
 
 
 def _verify(
@@ -792,17 +710,8 @@ def _verify(
     depth: int,
 ) -> Tuple[BundleManifest, Dict[str, bytes], bytes]:
     """Core verification; returns the raw manifest bytes as well."""
-    members = _read_members(path)
-    manifest_bytes = members.pop(MANIFEST_MEMBER, None)
-    if manifest_bytes is None:
-        raise BundleIntegrityError(f"{path}: bundle has no {MANIFEST_MEMBER}")
-    try:
-        manifest_payload = json.loads(manifest_bytes.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleIntegrityError(
-            f"{path}: {MANIFEST_MEMBER} is not valid JSON: {exc}"
-        ) from exc
-    manifest = BundleManifest.from_dict(manifest_payload, source=str(path))
+    payload, manifest_bytes, members = open_artifact(path)
+    manifest = BundleManifest.from_dict(payload, source=str(path))
     if manifest.delta_base:
         if depth >= DELTA_CHAIN_LIMIT:
             raise BundleFormatError(
@@ -832,7 +741,7 @@ def _verify(
         _, parent_members, parent_manifest_bytes = _verify(
             parent_path, parent_resolver, depth + 1
         )
-        parent_sha = _sha256(parent_manifest_bytes)
+        parent_sha = sha256(parent_manifest_bytes)
         if parent_sha != expected_parent_sha:
             raise BundleIntegrityError(
                 f"{path}: delta parent {ref} manifest hash mismatch "
@@ -847,26 +756,7 @@ def _verify(
         for name in manifest.members:
             if name not in members and name in parent_members:
                 members[name] = parent_members[name]
-    declared = set(manifest.members)
-    actual = set(members)
-    if actual - declared:
-        raise BundleIntegrityError(
-            f"{path}: undeclared members {sorted(actual - declared)} "
-            "(not covered by the manifest hashes)"
-        )
-    if declared - actual:
-        raise BundleIntegrityError(
-            f"{path}: missing members {sorted(declared - actual)}"
-        )
-    for name in sorted(declared):
-        expected = str(manifest.members[name].get("sha256", ""))
-        actual_hash = _sha256(members[name])
-        if actual_hash != expected:
-            raise BundleIntegrityError(
-                f"{path}: member {name!r} failed its integrity check "
-                f"(sha256 {actual_hash[:12]}… != manifest {expected[:12]}…); "
-                "refusing to load a tampered bundle"
-            )
+    verify_members(path, manifest.members, members)
     return manifest, members, manifest_bytes
 
 
@@ -903,40 +793,18 @@ def load_bundle(
     with an error naming the bundle. ``parent_resolver`` is required to
     materialise delta bundles (see :func:`verify_bundle`).
     """
-    path = Path(path)
     manifest, members = verify_bundle(path, parent_resolver=parent_resolver)
-    classifier = None
-    scaler = None
-    cnn = None
     source = str(path)
-    if CLASSIFIER_MEMBER in members:
-        try:
-            classifier = classifier_from_dict(
-                json.loads(members[CLASSIFIER_MEMBER].decode())
-            )
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise BundleFormatError(
-                f"{source}: bad {CLASSIFIER_MEMBER}: {exc}"
-            ) from exc
-    if SCALER_MEMBER in members:
-        try:
-            scaler = scaler_from_dict(json.loads(members[SCALER_MEMBER].decode()))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise BundleFormatError(
-                f"{source}: bad {SCALER_MEMBER}: {exc}"
-            ) from exc
+    classifier = _parse_member(members, CLASSIFIER_MEMBER, source, classifier_from_dict)
+    scaler = _parse_member(members, SCALER_MEMBER, source, scaler_from_dict)
+    cnn = None
     if CNN_CONFIG_MEMBER in members or CNN_WEIGHTS_MEMBER in members:
         if not (CNN_CONFIG_MEMBER in members and CNN_WEIGHTS_MEMBER in members):
             raise BundleFormatError(
                 f"{source}: CNN members must come as a pair "
                 f"({CNN_CONFIG_MEMBER} + {CNN_WEIGHTS_MEMBER})"
             )
-        try:
-            config = json.loads(members[CNN_CONFIG_MEMBER].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BundleFormatError(
-                f"{source}: bad {CNN_CONFIG_MEMBER}: {exc}"
-            ) from exc
+        config = _parse_member(members, CNN_CONFIG_MEMBER, source)
         cnn = _cnn_from_members(config, members[CNN_WEIGHTS_MEMBER], source)
     if classifier is None and cnn is None:
         raise BundleFormatError(f"{source}: bundle packs no predictor")

@@ -306,19 +306,22 @@ def _cmd_pack(args) -> int:
     )
     manifest = save_bundle(bundle, args.out)
     print(f"packed    : {manifest.ref} -> {args.out}")
+    _print_members(manifest)
+    return 0
+
+
+def _print_members(manifest, suffix: str = "") -> None:
+    """One line per member: name, byte count and sha256 prefix."""
     for member, meta in sorted(manifest.members.items()):
         print(f"  {member:<18} {meta['bytes']:>9} B  sha256 "
-              f"{str(meta['sha256'])[:16]}…")
-    return 0
+              f"{str(meta['sha256'])[:16]}…{suffix}")
 
 
 def _parent_resolver_from_paths(paths):
     """ref -> path resolver over explicitly supplied parent artifacts."""
     from repro.serve.bundle import read_manifest
 
-    table = {}
-    for path in paths or ():
-        table[read_manifest(path).ref] = path
+    table = {read_manifest(path).ref: path for path in paths or ()}
 
     def resolve(ref: str):
         if ref not in table:
@@ -349,16 +352,12 @@ def _print_lineage(manifest) -> None:
 
 
 def _cmd_inspect(args) -> int:
-    from repro.serve.bundle import BundleError, verify_bundle
+    from repro.serve.bundle import verify_bundle
 
     resolver = (
         _parent_resolver_from_paths(args.parent) if args.parent else None
     )
-    try:
-        manifest, members = verify_bundle(args.path, parent_resolver=resolver)
-    except BundleError as exc:
-        print(f"REJECTED: {exc}", file=sys.stderr)
-        return 1
+    manifest, members = verify_bundle(args.path, parent_resolver=resolver)
     print(f"bundle    : {manifest.ref} (format v{manifest.format_version})")
     print(f"variant   : {manifest.variant}"
           + (" (delta archive)" if manifest.delta_base else ""))
@@ -384,9 +383,7 @@ def _cmd_inspect(args) -> int:
                   f"mean {layer.get('scale_mean'):.3g}")
     _print_lineage(manifest)
     print("members   :")
-    for member, meta in sorted(manifest.members.items()):
-        print(f"  {member:<18} {meta['bytes']:>9} B  sha256 "
-              f"{str(meta['sha256'])[:16]}…  [verified]")
+    _print_members(manifest, "  [verified]")
     return 0
 
 
@@ -400,11 +397,7 @@ def _cmd_quantize(args) -> int:
         save_delta_bundle,
     )
 
-    try:
-        source = load_bundle(args.path)
-    except BundleError as exc:
-        print(f"REJECTED: {exc}", file=sys.stderr)
-        return 1
+    source = load_bundle(args.path)
     version = args.version or f"{source.manifest.version}-{args.variant}"
     try:
         derived = quantize_bundle(source, version=version, variant=args.variant)
@@ -435,12 +428,8 @@ def _cmd_delta(args) -> int:
         verify_bundle,
     )
 
-    try:
-        parent_manifest, _ = verify_bundle(args.parent)
-        bundle = load_bundle(args.path)
-    except BundleError as exc:
-        print(f"REJECTED: {exc}", file=sys.stderr)
-        return 1
+    parent_manifest, _ = verify_bundle(args.parent)
+    bundle = load_bundle(args.path)
     try:
         manifest = save_delta_bundle(bundle, args.out, parent_manifest)
     except BundleError as exc:
@@ -705,9 +694,7 @@ def _cmd_gate_pack(args) -> int:
         report, args.out, name=args.name, version=args.version
     )
     print(f"packed    : {manifest.ref} -> {args.out}")
-    for member, meta in sorted(manifest.members.items()):
-        print(f"  {member:<18} {meta['bytes']:>9} B  sha256 "
-              f"{str(meta['sha256'])[:16]}…")
+    _print_members(manifest)
     return 0
 
 
@@ -756,16 +743,12 @@ def _cmd_gate_score(args) -> int:
     # Local bundle: verify + load it, then answer through the same
     # serving stack a live deployment uses (ephemeral loopback).
     from repro.attack.privacy_gate import GateScorer
-    from repro.serve.bundle import BundleError, load_gate_bundle
+    from repro.serve.bundle import load_gate_bundle
     from repro.serve.frontend import ServingFrontend
     from repro.serve.registry import ModelRegistry
     from repro.serve.server import InferenceServer
 
-    try:
-        manifest, report = load_gate_bundle(args.bundle)
-    except BundleError as exc:
-        print(f"REJECTED: {exc}", file=sys.stderr)
-        return 1
+    manifest, report = load_gate_bundle(args.bundle)
     print(f"gate      : {manifest.ref} "
           f"(tasks: {', '.join(report.tasks)})")
     server = InferenceServer(ModelRegistry(), gate=GateScorer(report))
@@ -788,21 +771,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif argv and argv[0] in ("serve", "client", "gate"):
         argv = [argv[0]] + argv[1:]
     args = build_parser().parse_args(argv)
-    if args.command == "pack":
-        return _cmd_pack(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "quantize":
-        return _cmd_quantize(args)
-    if args.command == "delta":
-        return _cmd_delta(args)
-    if args.command == "client":
-        return _cmd_client(args)
-    if args.command == "gate":
-        if args.gate_command == "pack":
-            return _cmd_gate_pack(args)
-        return _cmd_gate_score(args)
-    return _cmd_serve(args)
+    from repro.serve.bundle import BundleError
+
+    try:
+        if args.command == "pack":
+            return _cmd_pack(args)
+        if args.command == "inspect":
+            return _cmd_inspect(args)
+        if args.command == "quantize":
+            return _cmd_quantize(args)
+        if args.command == "delta":
+            return _cmd_delta(args)
+        if args.command == "client":
+            return _cmd_client(args)
+        if args.command == "gate":
+            if args.gate_command == "pack":
+                return _cmd_gate_pack(args)
+            return _cmd_gate_score(args)
+        return _cmd_serve(args)
+    except BundleError as exc:  # an artifact failed verification or parsing
+        print(f"REJECTED: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

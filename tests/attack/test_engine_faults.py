@@ -9,7 +9,10 @@ balance. A process worker that dies fails the whole pass, and then
 nothing of it may be cached or counted.
 """
 
+import hashlib
+import io
 import os
+import zipfile
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
@@ -210,20 +213,17 @@ class TestCrashSafeDiskCache:
         assert load_collection(path).features.X.tobytes() == first.features.X.tobytes()
 
     def test_torn_write_leaves_no_bundle(self, tiny_tess, loud_channel, tmp_path, monkeypatch):
+        import repro.artifact as artifact
         from repro.eval.io import save_collection
 
         result = collect_datasets(tiny_tess, loud_channel, specs=tiny_tess.specs[:3], seed=2)
 
-        def torn(file, **arrays):
-            if hasattr(file, "write"):
-                file.write(b"PK\x03\x04 torn")
-            else:
-                with open(file, "wb") as handle:
-                    handle.write(b"PK\x03\x04 torn")
-            raise OSError("disk full")
+        def killed(tmp, path):
+            assert tmp.is_file()  # the pass was written in full beside its path
+            raise OSError("killed between write and rename")
 
-        monkeypatch.setattr(np, "savez", torn)
-        with pytest.raises(OSError, match="disk full"):
+        monkeypatch.setattr(artifact, "_commit", killed)
+        with pytest.raises(OSError, match="killed"):
             save_collection(result, tmp_path / "pass.npz")
         assert list(tmp_path.iterdir()) == []
 
@@ -249,8 +249,9 @@ class TestCrashSafeDiskCache:
         assert again.spectrograms.images.tobytes() == second.spectrograms.images.tobytes()
 
     def test_altered_but_parseable_bundle_is_a_miss(self, tiny_tess, loud_channel, tmp_path):
+        from repro.artifact import ArtifactIntegrityError
         from repro.attack.engine import CollectionCache
-        from repro.eval.io import CorruptBundleError, load_collection
+        from repro.eval.io import load_collection
 
         reset_observability()
         specs = tiny_tess.specs[:4]
@@ -259,12 +260,17 @@ class TestCrashSafeDiskCache:
             cache=CollectionCache(cache_dir=tmp_path),
         )
         (path,) = tmp_path.glob("*.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            members = {name: bundle[name] for name in bundle.files}
-        members["X"] = members["X"].copy()
-        members["X"][0, 0] += 1.0
-        np.savez(path, **members)  # a well-formed zip whose arrays changed
-        with pytest.raises(CorruptBundleError, match="sha256"):
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        X = np.load(io.BytesIO(members["X.npy"]))
+        X[0, 0] += 1.0
+        altered = io.BytesIO()
+        np.save(altered, X)
+        members["X.npy"] = altered.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:  # a well-formed zip whose array changed
+            for name, data in members.items():
+                zf.writestr(name, data)
+        with pytest.raises(ArtifactIntegrityError, match="sha256"):
             load_collection(path)
 
         cold = CollectionCache(cache_dir=tmp_path)
@@ -276,33 +282,64 @@ class TestCrashSafeDiskCache:
     def test_unhashed_legacy_bundle_is_a_miss_and_rewritten(
         self, tiny_tess, loud_channel, tmp_path
     ):
+        """Both earlier ``np.savez`` formats are counted misses, then rewritten."""
+        from repro.artifact import MANIFEST, ArtifactIntegrityError
         from repro.attack.engine import CollectionCache
-        from repro.eval.io import CorruptBundleError, load_collection
+        from repro.eval.io import load_collection
 
-        reset_observability()
         specs = tiny_tess.specs[:4]
         first = collect_datasets(
             tiny_tess, loud_channel, specs=specs, seed=9,
             cache=CollectionCache(cache_dir=tmp_path),
         )
         (path,) = tmp_path.glob("*.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            legacy = {n: bundle[n] for n in bundle.files if n not in ("key", "sha256")}
-        np.savez_compressed(path, **legacy)  # the format before bundles were hashed
-        with pytest.raises(CorruptBundleError, match="no content hash"):
-            load_collection(path)  # refused with or without a key
+        key = path.stem
+        loaded = load_collection(path)
+        arrays = {
+            "X": loaded.features.X,
+            "y_features": np.asarray(loaded.features.y, dtype=str),
+            "images": loaded.spectrograms.images,
+            "y_images": np.asarray(loaded.spectrograms.y, dtype=str),
+            "fs": np.array([loaded.features.fs]),
+            "n_played": np.array([loaded.features.n_played]),
+        }
+        legacy_writers = {
+            # Before bundles were hashed: the arrays alone, deflated.
+            "unhashed": lambda: np.savez_compressed(path, **arrays),
+            # Before the shared container: the arrays, the key and a
+            # sha256 over each array's name, dtype, shape and bytes.
+            "key+sha256": lambda: np.savez(
+                path, key=np.array(key), sha256=np.array(_savez_sha256(arrays)), **arrays
+            ),
+        }
+        for name, write_legacy in legacy_writers.items():
+            reset_observability()
+            write_legacy()
+            for lookup_key in (None, key):  # refused with or without a key
+                with pytest.raises(ArtifactIntegrityError, match=MANIFEST):
+                    load_collection(path, key=lookup_key)
 
-        cold = CollectionCache(cache_dir=tmp_path)
-        again = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=9, cache=cold)
-        assert cold.misses == 1
-        assert metrics().counter_total("cache.disk_corrupt") == 1
-        assert again.features.X.tobytes() == first.features.X.tobytes()
-        with np.load(path, allow_pickle=False) as bundle:
-            assert "sha256" in bundle.files
+            cold = CollectionCache(cache_dir=tmp_path)
+            again = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=9, cache=cold)
+            assert cold.misses == 1, name
+            assert metrics().counter_total("cache.disk_corrupt") == 1, name
+            assert again.features.X.tobytes() == first.features.X.tobytes()
+            with zipfile.ZipFile(path) as zf:
+                assert MANIFEST in zf.namelist(), name
 
-        warm = CollectionCache(cache_dir=tmp_path)
-        collect_datasets(tiny_tess, loud_channel, specs=specs, seed=9, cache=warm)
-        assert warm.hits == 1
+            warm = CollectionCache(cache_dir=tmp_path)
+            collect_datasets(tiny_tess, loud_channel, specs=specs, seed=9, cache=warm)
+            assert warm.hits == 1, name
+
+
+def _savez_sha256(arrays):
+    """The content hash the earlier key+sha256 ``np.savez`` collection files carried."""
+    digest = hashlib.sha256()
+    for name in ("X", "y_features", "images", "y_images", "fs", "n_played"):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
+        digest.update(array.data)
+    return digest.hexdigest()
 
 
 class TestBoundedCacheMemory:

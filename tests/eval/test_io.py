@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.artifact import ArtifactIntegrityError
 from repro.attack.pipeline import FeatureDataset, SpectrogramDataset
 from repro.eval.experiment import run_feature_experiment
 from repro.eval.io import (
@@ -75,6 +76,13 @@ class TestSpectrogramBundle:
         assert list(loaded.y) == list(original.y)
         assert loaded.fs == 420.0
         assert loaded.n_played == 6
+        loaded.images[0, 0, 0, 0] = -1.0  # loaded arrays are writable
+
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF  # inside the images member
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArtifactIntegrityError):
+            load_spectrograms(path)
 
     def test_empty_rejected(self, tmp_path):
         empty = SpectrogramDataset(images=np.empty((0, 32, 32, 1)), y=np.array([]))

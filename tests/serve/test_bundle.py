@@ -5,14 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.artifact import write_artifact
 from repro.serve.bundle import (
     BUNDLE_FORMAT_VERSION,
     CNN_CONFIG_MEMBER,
-    MANIFEST_MEMBER,
     BundleError,
     ModelBundle,
-    _manifest_bytes,
-    _sha256,
     load_bundle,
     save_bundle,
     verify_bundle,
@@ -88,15 +86,8 @@ class TestRoundTrip:
         config["policy"]["conv_kernel"] = "reference"
         members[CNN_CONFIG_MEMBER] = json.dumps(config).encode()
         manifest.nn_policy["conv_kernel"] = "reference"
-        manifest.members = {
-            name: {"sha256": _sha256(data), "bytes": len(data)}
-            for name, data in sorted(members.items())
-        }
         old = tmp_path / "old"
-        old.mkdir()
-        (old / MANIFEST_MEMBER).write_bytes(_manifest_bytes(manifest))
-        for name, data in members.items():
-            (old / name).write_bytes(data)
+        write_artifact(old, members, lambda table: {**manifest.to_dict(), "members": table})
         loaded, fresh = load_bundle(old), load_bundle(packed_bundle)
         assert loaded.manifest.nn_policy["conv_kernel"] == "reference"
         for role in ("cnn", "classifier"):

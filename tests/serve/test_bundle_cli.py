@@ -1,16 +1,20 @@
-"""The ``bundle quantize --delta`` and ``bundle delta`` CLI commands.
+"""The bundle CLI commands.
 
-Both print ``ships k/n members``: ``k`` must be the number of members the
-delta archive really holds, and each source bundle is read (and hashed)
-once per command.
+``bundle quantize --delta`` and ``bundle delta`` print ``ships k/n
+members``: ``k`` must be the number of members the delta archive really
+holds, and each source bundle is read (and hashed) once per command.
+``bundle pack``, ``bundle inspect`` and ``gate pack`` print one line per
+member in one fixed format.
 """
 
 import re
+import types
 import zipfile
 
+from repro.artifact import MANIFEST
+from repro.attack.pipeline import FeatureDataset
 from repro.serve import bundle as bundle_mod
 from repro.serve.bundle import (
-    MANIFEST_MEMBER,
     load_bundle,
     quantize_bundle,
     read_manifest,
@@ -30,18 +34,18 @@ def _ships(capsys):
 
 def _archive_members(path):
     with zipfile.ZipFile(path) as zf:
-        return [name for name in zf.namelist() if name != MANIFEST_MEMBER]
+        return [name for name in zf.namelist() if name != MANIFEST]
 
 
 def _count_reads(monkeypatch):
     reads = []
-    read_members = bundle_mod._read_members
+    open_artifact = bundle_mod.open_artifact
 
     def counting(path):
         reads.append(path)
-        return read_members(path)
+        return open_artifact(path)
 
-    monkeypatch.setattr(bundle_mod, "_read_members", counting)
+    monkeypatch.setattr(bundle_mod, "open_artifact", counting)
     return reads
 
 
@@ -76,3 +80,64 @@ class TestBundleDeltaCli:
         assert 0 < shipped < total == len(read_manifest(out).members)
         assert reads.count(parent) == reads.count(child) == 1
         verify_bundle(out, parent_resolver=lambda ref: parent)
+
+
+def _member_lines(manifest, suffix=""):
+    """The member lines the commands print, in the format they have always had."""
+    return [
+        f"  {name:<18} {meta['bytes']:>9} B  sha256 {str(meta['sha256'])[:16]}…{suffix}"
+        for name, meta in sorted(manifest.members.items())
+    ]
+
+
+def _lines_after(out, header):
+    lines = out.splitlines()
+    return lines[next(i for i, line in enumerate(lines) if line.startswith(header)) + 1 :]
+
+
+class TestMemberLines:
+    def test_pack_twice_to_one_directory_then_inspect(
+        self, tmp_path, blob_data, capsys, monkeypatch
+    ):
+        import repro.eval.experiment as experiment
+
+        X, y = blob_data
+        monkeypatch.setattr(
+            experiment,
+            "collect_scenario_datasets",
+            lambda *args, **kwargs: types.SimpleNamespace(features=FeatureDataset(X=X, y=y)),
+        )
+        out = tmp_path / "bundle-dir"
+        pack = ["pack", "--scenario", "tess-loud-oneplus7t", "--out", str(out)]
+        for version in ("1", "2"):
+            assert main([*pack, "--version", version]) == 0
+            printed = _lines_after(capsys.readouterr().out, "packed")
+            assert printed == _member_lines(read_manifest(out))
+        assert main(["inspect", str(out)]) == 0
+        printed = _lines_after(capsys.readouterr().out, "members")
+        manifest, _ = verify_bundle(out)
+        assert manifest.version == "2"
+        assert printed == _member_lines(manifest, "  [verified]")
+
+    def test_gate_pack(self, tmp_path, capsys, monkeypatch):
+        import repro.eval.defense_grid as defense_grid
+
+        from tests.serve.test_gate_bundle import _report
+
+        monkeypatch.setattr(defense_grid, "run_defense_grid", lambda **kwargs: _report())
+        out = tmp_path / "gate.zip"
+        assert main(["gate", "pack", "--out", str(out)]) == 0
+        printed = _lines_after(capsys.readouterr().out, "packed")
+        assert printed == _member_lines(read_manifest(out))
+
+
+class TestRejected:
+    def test_a_bundle_that_fails_verification_is_rejected(self, packed_bundle, tmp_path, capsys):
+        (packed_bundle / "classifier.json").write_text("{}")
+        out = tmp_path / "int8.zip"
+        quantize = ["quantize", str(packed_bundle), "--out", str(out)]
+        for argv in (["inspect", str(packed_bundle)], quantize):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("REJECTED: ") and "classifier.json" in err
+        assert not out.exists()

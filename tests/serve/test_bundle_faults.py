@@ -147,21 +147,20 @@ class TestFormatRejection:
         assert issubclass(BundleFormatError, BundleError)
 
 
+def _kill_before_rename(monkeypatch):
+    """Kill every save at the shared writer's commit point, after the new
+    artifact is written in full beside its path and before it is renamed."""
+    import repro.artifact as artifact
+
+    def killed(tmp, path):
+        assert tmp.exists()
+        raise OSError("killed between write and rename")
+
+    monkeypatch.setattr(artifact, "_commit", killed)
+
+
 class TestAtomicZipSave:
     """A zip save that dies midway keeps the previous bundle at its path."""
-
-    @staticmethod
-    def _crash_after_first_member(monkeypatch):
-        real = zipfile.ZipFile.writestr
-        written = []
-
-        def writestr(self, name, data, *args, **kwargs):
-            if written:
-                raise OSError("disk full")
-            written.append(name)
-            return real(self, name, data, *args, **kwargs)
-
-        monkeypatch.setattr(zipfile.ZipFile, "writestr", writestr)
 
     def _assert_old_bundle_intact(self, path, before):
         assert path.read_bytes() == before
@@ -172,9 +171,9 @@ class TestAtomicZipSave:
 
         path = packed_classifier_bundle
         before = path.read_bytes()
-        self._crash_after_first_member(monkeypatch)
+        _kill_before_rename(monkeypatch)
         newer = ModelBundle.create("blobs-clf", "2", classifier=fitted_logistic)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(OSError, match="killed"):
             save_bundle(newer, path)
         monkeypatch.undo()
         self._assert_old_bundle_intact(path, before)
@@ -196,8 +195,8 @@ class TestAtomicZipSave:
         )
         save_delta_bundle(child, path, parent.manifest)
         before = path.read_bytes()
-        self._crash_after_first_member(monkeypatch)
-        with pytest.raises(OSError, match="disk full"):
+        _kill_before_rename(monkeypatch)
+        with pytest.raises(OSError, match="killed"):
             save_delta_bundle(child, path, parent.manifest)
         monkeypatch.undo()
         assert path.read_bytes() == before
@@ -213,10 +212,53 @@ class TestAtomicZipSave:
         path = tmp_path / "gate.zip"
         save_gate_bundle(_report(), path, version="1")
         before = path.read_bytes()
-        self._crash_after_first_member(monkeypatch)
-        with pytest.raises(OSError, match="disk full"):
+        _kill_before_rename(monkeypatch)
+        with pytest.raises(OSError, match="killed"):
             save_gate_bundle(_report(), path, version="2")
         monkeypatch.undo()
         self._assert_old_bundle_intact(path, before)
         manifest, _ = load_gate_bundle(path)
         assert manifest.version == "1"
+
+
+def _tree(path):
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+class TestAtomicDirectorySave:
+    """A directory save is written beside its path and renamed into place."""
+
+    def test_crash_between_write_and_rename_keeps_old_bundle(
+        self, packed_bundle, fitted_logistic, monkeypatch
+    ):
+        from repro.serve.bundle import verify_bundle
+
+        before = _tree(packed_bundle)
+        newer = ModelBundle.create("blobs", "2", classifier=fitted_logistic)
+        _kill_before_rename(monkeypatch)
+        with pytest.raises(OSError, match="killed"):
+            save_bundle(newer, packed_bundle)
+        monkeypatch.undo()
+        assert _tree(packed_bundle) == before
+        assert [p.name for p in packed_bundle.parent.iterdir()] == [packed_bundle.name]
+        manifest, _ = verify_bundle(packed_bundle)
+        assert manifest.version == "1"
+        assert load_bundle(packed_bundle).cnn is not None
+
+        # Without the crash the same save replaces the old bundle whole.
+        save_bundle(newer, packed_bundle)
+        assert [p.name for p in packed_bundle.parent.iterdir()] == [packed_bundle.name]
+        replaced = load_bundle(packed_bundle)
+        assert replaced.manifest.version == "2" and replaced.cnn is None
+
+    def test_save_over_a_non_bundle_directory_raises(self, tmp_path, fitted_logistic):
+        target = tmp_path / "models"
+        (target / "notes").mkdir(parents=True)
+        (target / "classifier.json").write_text("not a bundle member")
+        (target / "notes" / "todo.txt").write_text("keep me")
+        before = _tree(target)
+        bundle = ModelBundle.create("blobs", "1", classifier=fitted_logistic)
+        with pytest.raises(FileExistsError, match="manifest.json"):
+            save_bundle(bundle, target)
+        assert _tree(target) == before
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
