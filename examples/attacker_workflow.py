@@ -11,7 +11,8 @@ production features:
    recording time);
 2. expand it with region-level augmentation;
 3. train the paper's feature CNN with early stopping;
-4. persist both models (CNN weights to .npz, random forest to JSON);
+4. persist both models (CNN weights to .npz, random forest to a hashed
+   .zip artifact holding its JSON);
 5. reload them in a fresh "deployed" instance and attack unseen traces.
 
 Run:
@@ -64,10 +65,10 @@ def main() -> None:
 
     # --- Phase 2: persist and redeploy ----------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        forest_path = Path(tmp) / "forest.json"
+        forest_path = Path(tmp) / "forest.zip"
         save_classifier(forest, forest_path)
         deployed_forest = load_classifier(forest_path)
-        print(f"forest model persisted: {forest_path.stat().st_size} bytes JSON")
+        print(f"forest model persisted: {forest_path.stat().st_size} bytes (verified JSON artifact)")
 
         # --- Phase 3: attack unseen victim traces ----------------------
         victim_specs = [s for s in corpus.specs

@@ -15,8 +15,9 @@ time; the engine runs it as stacked chunks of utterances:
   the continuous session's products. A chunk that fails re-runs its
   rows as chunks of one; ``batch_chunk=1`` plays one utterance at a
   time.
-- **Executors**: chunks fan out through :func:`repro.parallel.run_tasks`
-  (``serial``, ``thread`` or ``process``).
+- **Executors**: chunks fan out through
+  :meth:`repro.parallel.ExecutorPool.map_traced` (``serial``, ``thread``
+  or ``process``).
 - **Single-pass collection**: :func:`collect_datasets` produces the
   :class:`FeatureDataset` *and* the :class:`SpectrogramDataset` from one
   shared render→transmit→detect pass, instead of paying collection twice
@@ -26,10 +27,10 @@ time; the engine runs it as stacked chunks of utterances:
   performs each collection exactly once; an optional on-disk store
   persists passes across runs (see :mod:`repro.eval.io`).
 - **Instrumentation**: every stage runs inside a :mod:`repro.obs` span
-  (``render`` → ``transmit`` → ``detect`` → ``product``). Each chunk
-  records under :func:`repro.obs.capture_observability` on whatever
-  worker runs it, and the pass merges the chunks under its ``collect``
-  span. The metrics registry is the one account of a pass: the
+  (``render`` → ``transmit`` → ``detect`` → ``product``). The traced
+  map captures each chunk on whatever worker runs it, and the pass
+  merges the chunks under its ``collect`` span. The metrics registry is
+  the one account of a pass: the
   ``renders``, ``transmits``, ``regions_detected``, ``regions_used``,
   ``n_played``, ``cache_hits`` and ``cache_misses`` counters and the
   stage timers (``python -m repro.cli --metrics`` prints them).
@@ -61,7 +62,9 @@ from repro.datasets.base import Corpus, UtteranceSpec, resolve_task
 from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase_batch
 from repro.memo import ByteBudgetMemo
 from repro.obs import capture_observability, merge_worker_trace, metrics, trace
-from repro.parallel import EXECUTOR_NAMES, resolve_executor, run_tasks
+from repro.parallel import (
+    EXECUTOR_NAMES, ExecutorPool, resolve_executor, results_or_raise, run_tasks,
+)
 from repro.phone.channel import Placement, VibrationChannel
 
 __all__ = [
@@ -320,8 +323,8 @@ def _run_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]) 
     return rows
 
 
-def _run_chunk_task(task: Tuple[_PassConfig, Sequence[Tuple[int, UtteranceSpec]]]):
-    """Task entry point: one chunk under captured observability.
+def _run_chunk_task(task: Tuple[_PassConfig, Sequence[Tuple[int, UtteranceSpec]]]) -> List[Tuple]:
+    """Task entry point: one chunk's product rows.
 
     Module-level, hence picklable for the process executor. If the
     stacked chunk raises — one poisoned utterance must not take down its
@@ -336,19 +339,18 @@ def _run_chunk_task(task: Tuple[_PassConfig, Sequence[Tuple[int, UtteranceSpec]]
     config, items = task
     if os.getpid() != config.origin_pid:
         datasets_base._RENDER_MEMO.budget_bytes = 0
-    with capture_observability() as capture:
+    try:
+        return _run_chunk(config, items)
+    except Exception:
+        metrics().count("batch.chunk_fallbacks")
+    rows = []
+    for item in items:
         try:
-            rows = _run_chunk(config, items)
+            rows.extend(_run_chunk(config, [item]))
         except Exception:
-            metrics().count("batch.chunk_fallbacks")
-            rows = []
-            for item in items:
-                try:
-                    rows.extend(_run_chunk(config, [item]))
-                except Exception:
-                    metrics().count("batch.rows_isolated")
-                    rows.append((item[0], None, None, None))
-    return rows, capture
+            metrics().count("batch.rows_isolated")
+            rows.append((item[0], None, None, None))
+    return rows
 
 
 def _collect_tabletop(
@@ -363,11 +365,9 @@ def _collect_tabletop(
     tasks = [
         (config, indexed[i : i + batch_chunk]) for i in range(0, len(indexed), batch_chunk)
     ]
-    products = []
-    for rows, capture in run_tasks(_run_chunk_task, tasks, n_jobs=n_jobs, executor=executor):
-        merge_worker_trace(capture)
-        products.extend(row for row in rows if row[1] is not None)
-    return products
+    with ExecutorPool(n_jobs=n_jobs, executor=executor) as pool:
+        chunks = results_or_raise(pool.map_traced(_run_chunk_task, tasks))
+    return [row for rows in chunks for row in rows if row[1] is not None]
 
 
 def _collect_continuous(

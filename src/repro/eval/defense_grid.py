@@ -15,14 +15,15 @@ scenario) through the engine's :class:`~repro.attack.engine.CollectionCache`
 — secondary tasks over the same corpus re-label cached product rows
 (``cache.relabel_hits``), and the batched pipeline keeps the defended
 pass as fast as the undefended one. Training/evaluation cells then fan
-out over a shared :class:`~repro.parallel.ExecutorPool`.
+out over a shared :class:`~repro.parallel.ExecutorPool` through
+:meth:`~repro.parallel.ExecutorPool.map_traced`.
 
-Failure semantics mirror ``run_table``: a cell that raises ships its
-exception back as a *value* (the sweep never dies mid-grid and traces
-stay balanced), and the finished :class:`LeakageReport` marks the cell
-``degraded``. A defense that suppresses so much signal that no
-experiment can run is ``denied`` — the defender's best case, scored at
-chance (leakage 0), matching :func:`repro.attack.defense.evaluate_defense`.
+A cell that raises comes back from the map as an exception *value* (the
+sweep never dies mid-grid and traces stay balanced), and the finished
+:class:`LeakageReport` marks the cell ``degraded``. A defense that
+suppresses so much signal that no experiment can run is ``denied`` —
+the defender's best case, scored at chance (leakage 0), matching
+:func:`repro.attack.defense.evaluate_defense`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.eval.experiment import (
 )
 from repro.ml.metrics import accuracy_score
 from repro.ml.preprocessing import clean_features, train_test_split
-from repro.obs import capture_observability, merge_worker_trace, trace
+from repro.obs import trace
 from repro.parallel import ExecutorPool
 
 __all__ = [
@@ -197,31 +198,18 @@ def _score_cell(
     }
 
 
-def _run_grid_cell(task):
-    """Worker entry point: one (config, task, mode, classifier) cell.
-
-    Module-level (picklable for the process executor); exceptions and
-    spans travel back as values so the sweep survives any cell and the
-    parent trace stays balanced.
-    """
-    index, config_name, task_name, mode, classifier, defended, undefended, seed, fast = task
-    outcome = None
-    error = None
-    with capture_observability() as capture:
-        try:
-            with trace(
-                "gate_cell",
-                config=config_name,
-                task=task_name,
-                mode=mode,
-                classifier=classifier,
-            ):
-                outcome = _score_cell(
-                    mode, classifier, defended, undefended, seed, fast
-                )
-        except Exception as exc:
-            error = exc
-    return index, outcome, capture, error
+def _run_grid_cell(task) -> dict:
+    """One (config, task, mode, classifier) cell's task (module-level,
+    hence picklable) under its ``gate_cell`` span."""
+    config_name, task_name, mode, classifier, defended, undefended, seed, fast = task
+    with trace(
+        "gate_cell",
+        config=config_name,
+        task=task_name,
+        mode=mode,
+        classifier=classifier,
+    ):
+        return _score_cell(mode, classifier, defended, undefended, seed, fast)
 
 
 def _normalise_scenarios(scenarios) -> Dict[str, str]:
@@ -347,7 +335,7 @@ def run_defense_grid(
                 for mode in modes
                 for classifier in classifiers
             ]
-            tasks = []
+            tasks = {}
             prefailed: Dict[int, str] = {}
             for index, (config, task, mode, classifier) in enumerate(cell_ids):
                 base = undefended[task]
@@ -358,14 +346,9 @@ def run_defense_grid(
                 if failure is not None:
                     prefailed[index] = f"collection failed: {failure}"
                     continue
-                tasks.append(
-                    (index, config.name, task, mode, classifier,
-                     dfnd, base, seed, fast)
-                )
-            outcomes = {}
-            for index, outcome, capture, error in pool.map(_run_grid_cell, tasks):
-                merge_worker_trace(capture, parent=grid_span)
-                outcomes[index] = (outcome, error)
+                tasks[index] = (config.name, task, mode, classifier, dfnd, base, seed, fast)
+            outcomes = pool.map_traced(_run_grid_cell, tasks.values(), parent=grid_span)
+            outcomes = dict(zip(tasks, outcomes))
             for index, (config, task, mode, classifier) in enumerate(cell_ids):
                 cell = LeakageCell(
                     config=config, task=task, mode=mode, classifier=classifier

@@ -4,6 +4,11 @@ Runs an entire paper table (III, IV, V or VI) programmatically —
 collection, every classifier row, rendering — and returns structured
 results plus the formatted text table. The benchmarks use finer-grained
 control; this is the one-call API for users ("regenerate Table V").
+
+The training cells run through
+:meth:`repro.parallel.ExecutorPool.map_traced` on every executor, so a
+failing cell raises only after every cell's spans have been merged
+under the ``table`` span: serial and pooled runs leave the same trace.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from repro.eval.experiment import (
 )
 from repro.eval.reporting import PAPER_RESULTS
 from repro.eval.tables import format_table
-from repro.obs import capture_observability, merge_worker_trace, trace
-from repro.parallel import ExecutorPool
+from repro.obs import trace
+from repro.parallel import ExecutorPool, results_or_raise
 
 __all__ = ["TableSuite", "TABLE_DEFINITIONS", "run_table"]
 
@@ -133,26 +138,12 @@ class TableSuite:
         return format_table(title, rows, headers)
 
 
-def _run_cell_task(task):
-    """Worker entry point: one (scenario, classifier) training cell.
-
-    Module-level (picklable for the process executor). The cell's
-    ``cell`` → ``train``/``evaluate`` spans are captured locally and
-    shipped back for re-parenting under the dispatcher's ``table`` span;
-    exceptions travel back as values so the trace stays balanced.
-    """
+def _run_cell(task) -> ExperimentResult:
+    """One (scenario, classifier) training cell's task (module-level,
+    hence picklable) under its ``cell`` span."""
     name, classifier, bundle, seed, fast = task
-    result = None
-    error = None
-    with capture_observability() as capture:
-        try:
-            with trace("cell", scenario=name, classifier=classifier):
-                result = run_bundle_experiment(
-                    bundle, classifier, seed=seed, fast=fast
-                )
-        except Exception as exc:
-            error = exc
-    return name, classifier, result, capture, error
+    with trace("cell", scenario=name, classifier=classifier):
+        return run_bundle_experiment(bundle, classifier, seed=seed, fast=fast)
 
 
 def run_table(
@@ -260,28 +251,13 @@ def run_table(
                 for classifier in chosen
             ]
             # Phase 2 — fan the independent training cells out over the
-            # shared pool (or run them inline with live spans).
-            if not pool.is_parallel:
-                for name, classifier in cells:
-                    with trace("cell", scenario=name, classifier=classifier):
-                        suite.cells[(name, classifier)] = run_bundle_experiment(
-                            bundles[name], classifier, seed=seed, fast=fast
-                        )
-            else:
-                tasks = [
-                    (name, classifier, bundles[name], seed, fast)
-                    for name, classifier in cells
-                ]
-                outcomes = pool.map(_run_cell_task, tasks)
-                first_error = None
-                for name, classifier, result, capture, error in outcomes:
-                    merge_worker_trace(capture, parent=table_span)
-                    if error is not None:
-                        first_error = first_error or error
-                        continue
-                    suite.cells[(name, classifier)] = result
-                if first_error is not None:
-                    raise first_error
+            # shared pool.
+            tasks = [
+                (name, classifier, bundles[name], seed, fast)
+                for name, classifier in cells
+            ]
+            outcomes = pool.map_traced(_run_cell, tasks, parent=table_span)
+            suite.cells.update(zip(cells, results_or_raise(outcomes)))
     finally:
         if owns_pool:
             pool.close()

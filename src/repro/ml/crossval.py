@@ -9,11 +9,12 @@ out over the shared executor contract of :mod:`repro.parallel`:
 ``serial`` (the reference path), ``thread`` and ``process`` produce
 *identical* per-fold results at any worker count, because each fold's
 model is a fresh clone with a deterministic per-fold seed that depends
-only on the fold index. Worker folds capture their ``fold`` →
-``train``/``evaluate`` spans with
-:func:`repro.obs.capture_observability` and the dispatcher re-parents
-them under its own open span, so the trace nests identically in all
-three modes.
+only on the fold index. The folds run through
+:meth:`repro.parallel.ExecutorPool.map_traced` on every executor, serial
+included: each fold's ``fold`` → ``train``/``evaluate`` spans are
+captured and re-parented under the caller's open span, so the trace
+nests identically in all three modes, and a failing fold raises only
+after every fold's spans have been merged.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from repro.ml.base import Classifier
 from repro.ml.metrics import accuracy_score, confusion_matrix
-from repro.obs import capture_observability, merge_worker_trace, trace, tracer
-from repro.parallel import ExecutorPool
+from repro.obs import trace, tracer
+from repro.parallel import ExecutorPool, results_or_raise
 
 __all__ = ["StratifiedKFold", "cross_val_score", "cross_val_confusion"]
 
@@ -107,35 +108,16 @@ def _clone_for_fold(classifier: Classifier, fold: int, seed: int) -> Classifier:
     return model
 
 
-def _fold_body(classifier, X, y, train_idx, test_idx, fold, seed) -> np.ndarray:
-    """Train a fold clone and return its held-out predictions (traced)."""
+def _run_fold(task) -> np.ndarray:
+    """One fold's task (module-level, hence picklable): train a fold
+    clone and return its held-out predictions (traced)."""
+    classifier, X, y, train_idx, test_idx, fold, seed = task
     with trace("fold", fold=fold, metric_labels={}):
         model = _clone_for_fold(classifier, fold, seed)
         with trace("train", metric_labels={"context": "crossval"}):
             model.fit(X[train_idx], y[train_idx])
         with trace("evaluate", metric_labels={"context": "crossval"}):
             return model.predict(X[test_idx])
-
-
-def _run_fold_task(task):
-    """Worker entry point: one fold with captured observability.
-
-    Module-level (hence picklable for the process executor). Exceptions
-    are returned, not raised, so the fold's spans — closed with
-    ``status="error"`` by the tracer — still travel back to the
-    dispatcher and the trace stays balanced on the failure path.
-    """
-    classifier, X, y, train_idx, test_idx, fold, seed = task
-    predictions = None
-    error: Optional[BaseException] = None
-    with capture_observability() as capture:
-        try:
-            predictions = _fold_body(
-                classifier, X, y, train_idx, test_idx, fold, seed
-            )
-        except Exception as exc:
-            error = exc
-    return fold, predictions, capture, error
 
 
 def _cross_val_folds(
@@ -147,43 +129,26 @@ def _cross_val_folds(
     n_jobs: int,
     executor: Optional[str],
     pool: Optional[ExecutorPool],
-) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """Run every fold and return ``[(fold, test_idx, predictions), ...]``.
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Run every fold and return ``[(test_idx, predictions), ...]``.
 
-    Serial mode executes inline with live spans; parallel mode fans the
-    folds over the pool, re-parents each fold's captured spans under the
-    caller's current span, merges the worker metrics, then re-raises the
-    first fold error (if any) once the trace is complete.
+    The folds go through :meth:`ExecutorPool.map_traced` on every
+    executor: each fold's spans are re-parented under the caller's
+    current span and its metrics merged, then the first fold error (if
+    any) is raised once the trace is complete.
     """
     folds = list(StratifiedKFold(n_splits, seed).split(y))
     owns_pool = pool is None
     if pool is None:
         pool = ExecutorPool(n_jobs=n_jobs, executor=executor)
     try:
-        if not pool.is_parallel:
-            return [
-                (fold, test_idx, _fold_body(classifier, X, y, train_idx, test_idx, fold, seed))
-                for fold, (train_idx, test_idx) in enumerate(folds)
-            ]
         tasks = [
             (classifier, X, y, train_idx, test_idx, fold, seed)
             for fold, (train_idx, test_idx) in enumerate(folds)
         ]
-        outcomes = pool.map(_run_fold_task, tasks)
-        parent = tracer().current()
-        results = []
-        first_error: Optional[BaseException] = None
-        for (fold, (_, test_idx)), (_, predictions, capture, error) in zip(
-            enumerate(folds), outcomes
-        ):
-            merge_worker_trace(capture, parent=parent)
-            if error is not None:
-                first_error = first_error if first_error is not None else error
-                continue
-            results.append((fold, test_idx, predictions))
-        if first_error is not None:
-            raise first_error
-        return results
+        outcomes = pool.map_traced(_run_fold, tasks, parent=tracer().current())
+        predictions = results_or_raise(outcomes)
+        return [(test_idx, p) for (_, test_idx), p in zip(folds, predictions)]
     finally:
         if owns_pool:
             pool.close()
@@ -213,7 +178,7 @@ def cross_val_score(
     )
     return [
         accuracy_score(y[test_idx], predictions)
-        for _, test_idx, predictions in results
+        for test_idx, predictions in results
     ]
 
 
@@ -239,7 +204,7 @@ def cross_val_confusion(
     results = _cross_val_folds(
         classifier, X, y, n_splits, seed, n_jobs, executor, pool
     )
-    for _, test_idx, fold_predictions in results:
+    for test_idx, fold_predictions in results:
         predictions[test_idx] = fold_predictions
     matrix, labels = confusion_matrix(y, predictions, labels=np.unique(y))
     return matrix, labels, accuracy_score(y, predictions)

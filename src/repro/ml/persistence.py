@@ -6,8 +6,10 @@ between processes. Pickle is unsafe for untrusted artifacts, so the
 classifiers serialise to explicit JSON documents: logistic regression as
 weight matrices, trees as nested node dicts, ensembles as member lists.
 
-``save_classifier`` / ``load_classifier`` dispatch on a ``kind`` tag and
-refuse unknown kinds, so a tampered artifact cannot instantiate
+``save_classifier`` / ``load_classifier`` store that document as the one
+member of a verified :mod:`repro.artifact` container, so a changed byte
+is refused before it is parsed, and dispatch on a ``kind`` tag that
+refuses unknown kinds, so a hand-built artifact cannot instantiate
 arbitrary classes.
 """
 
@@ -19,6 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from repro.artifact import ArtifactIntegrityError, read_artifact, write_artifact
 from repro.ml.forest import RandomForest
 from repro.ml.logistic import LogisticRegression
 from repro.ml.preprocessing import StandardScaler
@@ -30,6 +33,9 @@ __all__ = ["save_classifier", "load_classifier", "classifier_to_dict",
            "PERSISTABLE_KINDS"]
 
 _PathLike = Union[str, Path]
+
+#: The one member of a classifier artifact.
+_MEMBER = "classifier.json"
 
 
 def _node_to_dict(node: _Node) -> dict:
@@ -224,22 +230,28 @@ def classifier_from_dict(payload: dict):
 
 
 def save_classifier(model, path: _PathLike) -> None:
-    """Write a fitted classifier to a JSON file."""
-    Path(path).write_text(json.dumps(classifier_to_dict(model)))
+    """Write a fitted classifier as a verified artifact (see
+    :mod:`repro.artifact`): one hashed ``classifier.json`` member in a
+    ``.zip`` (for a ``.zip``/``.npz`` path) or a directory, atomically."""
+    member = json.dumps(classifier_to_dict(model)).encode()
+    write_artifact(path, {_MEMBER: member}, lambda table: {"members": table})
 
 
 def load_classifier(path: _PathLike):
     """Load a classifier written by :func:`save_classifier`.
 
-    Malformed or unrecognised artifacts raise a :class:`ValueError`
-    naming the offending file, so a bad member inside a model bundle is
-    identifiable from the exception alone.
+    A changed byte raises :class:`~repro.artifact.ArtifactIntegrityError`
+    before anything is parsed. Malformed or unrecognised artifacts raise
+    a :class:`ValueError` naming the offending file, so a bad member
+    inside a model bundle is identifiable from the exception alone.
     """
     path = Path(path)
-    text = path.read_text()
+    _, members = read_artifact(path)
+    if _MEMBER not in members:
+        raise ArtifactIntegrityError(f"{path}: artifact has no {_MEMBER} member")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(members[_MEMBER])
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise ValueError(f"{path}: not valid classifier JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(

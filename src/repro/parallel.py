@@ -8,18 +8,24 @@ count. This module hoists that contract out of
 (:mod:`repro.ml.crossval`, :mod:`repro.eval.suite`) can reuse it, and
 adds :class:`ExecutorPool`: a *persistent* pool that a table run creates
 once and every cell reuses, instead of paying pool start-up per cell.
+It also owns how worker observability travels home: see
+:meth:`ExecutorPool.map_traced`, the one traced fan-out.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
+
+from repro.obs import Span, capture_observability, merge_worker_trace
 
 __all__ = [
     "EXECUTOR_NAMES",
     "ExecutorPool",
     "resolve_executor",
+    "results_or_raise",
     "run_tasks",
 ]
 
@@ -52,6 +58,7 @@ class ExecutorPool:
     fresh pool per cell. Use as a context manager, or call
     :meth:`close` explicitly; the serial pool needs no cleanup.
 
+    :meth:`map_traced` is the traced fan-out every engine uses;
     ``map_calls`` / ``tasks_run`` count usage so tests (and the
     benchmark harness) can assert the pool really was shared.
     """
@@ -114,6 +121,40 @@ class ExecutorPool:
             self.close()
             raise
 
+    def map_traced(self, fn: Callable, items: Sequence, parent: Optional[Span] = None) -> List:
+        """:meth:`map` with each ``fn(item)`` under its own
+        :func:`~repro.obs.capture_observability`, on every executor.
+
+        An exception from ``fn`` comes back as a value. Every capture is
+        merged under ``parent`` (None: as new roots) in submission order,
+        so spans and metrics arrive once and the same on all executors,
+        also when tasks fail. Returns ``[(result, error), ...]`` in item
+        order (see :func:`results_or_raise`).
+        """
+        outcomes = self.map(partial(_call_captured, fn), items)
+        for _, _, capture in outcomes:
+            merge_worker_trace(capture, parent=parent)
+        return [(result, error) for result, error, _ in outcomes]
+
+
+def _call_captured(fn: Callable, item):
+    """``(result, error, capture)`` of ``fn(item)``; picklable with ``fn``."""
+    result = error = None
+    with capture_observability() as capture:
+        try:
+            result = fn(item)
+        except Exception as exc:
+            error = exc
+    return result, error, capture
+
+
+def results_or_raise(outcomes: Sequence[Tuple]) -> List:
+    """The results of a :meth:`ExecutorPool.map_traced`, or its first error."""
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]
+
 
 def run_tasks(
     fn: Callable,
@@ -121,6 +162,6 @@ def run_tasks(
     n_jobs: int = 1,
     executor: Optional[str] = None,
 ) -> List:
-    """One-shot :meth:`ExecutorPool.map` (pool torn down afterwards)."""
+    """One-shot, untraced :meth:`ExecutorPool.map` (pool torn down afterwards)."""
     with ExecutorPool(n_jobs=n_jobs, executor=executor) as pool:
         return pool.map(fn, items)

@@ -804,6 +804,35 @@ def _result_message(
     return response
 
 
+def _predict_frame(
+    msg_id: int, tenant: str, features: Optional[np.ndarray], window: Optional[np.ndarray],
+    fs: Optional[float], lane: str, model: Optional[str], timeout_s: Optional[float], binary: bool,
+) -> bytes:
+    """Both clients' ``predict`` frame: the row as a float64 tensor payload
+    (``binary``) or a JSON list. Encodes through this module's
+    ``encode_message`` name, so a wrapper installed there sees it."""
+    message: Dict[str, Any] = {
+        "op": "predict",
+        "id": msg_id,
+        "tenant": tenant,
+        "lane": lane,
+    }
+    if model is not None:
+        message["model"] = model
+    if timeout_s is not None:
+        message["timeout_s"] = timeout_s
+    payload = np.asarray(features if window is None else window, dtype=float)
+    if window is not None:
+        message["kind"] = "window"
+        message["fs"] = float(fs) if fs is not None else None
+    else:
+        message["kind"] = "features"
+    if binary:
+        return encode_message(message, payload)
+    message["payload"] = [float(x) for x in payload]
+    return encode_message(message)
+
+
 class AsyncFrontendClient:
     """Pipelined asyncio client: submit many requests, await each response.
 
@@ -865,28 +894,9 @@ class AsyncFrontendClient:
         if (features is None) == (window is None):
             raise ValueError("pass exactly one of features= or window=")
         msg_id = next(self._ids)
-        message: Dict[str, Any] = {
-            "op": "predict",
-            "id": msg_id,
-            "tenant": self.tenant,
-            "lane": lane,
-        }
-        if model is not None:
-            message["model"] = model
-        if timeout_s is not None:
-            message["timeout_s"] = timeout_s
-        payload = features if features is not None else window
-        payload = np.asarray(payload, dtype=float)
-        if window is not None:
-            message["kind"] = "window"
-            message["fs"] = float(fs) if fs is not None else None
-        else:
-            message["kind"] = "features"
-        if binary:
-            frame = encode_message(message, payload)
-        else:
-            message["payload"] = [float(x) for x in payload]
-            frame = encode_message(message)
+        frame = _predict_frame(
+            msg_id, self.tenant, features, window, fs, lane, model, timeout_s, binary
+        )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[msg_id] = future
         self._writer.write(frame)
@@ -990,24 +1000,9 @@ class FrontendClient:
         binary: bool = False,
     ) -> Dict[str, Any]:
         """Send one feature-vector request and block for its response."""
-        features = np.asarray(features, dtype=float)
-        message: Dict[str, Any] = {
-            "op": "predict",
-            "id": next(self._ids),
-            "tenant": self.tenant,
-            "lane": lane,
-            "kind": "features",
-        }
-        if model is not None:
-            message["model"] = model
-        if timeout_s is not None:
-            message["timeout_s"] = timeout_s
-        if binary:
-            frame = encode_message(message, features)
-        else:
-            message["payload"] = [float(x) for x in features]
-            frame = encode_message(message)
-        return self._roundtrip(frame)
+        return self._roundtrip(_predict_frame(
+            next(self._ids), self.tenant, features, None, None, lane, model, timeout_s, binary
+        ))
 
     def gate_score(
         self,

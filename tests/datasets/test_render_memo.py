@@ -20,7 +20,7 @@ from repro.attack.engine import collect_datasets
 from repro.datasets import base, build_songs, build_tess
 from repro.datasets.base import Corpus
 from repro.memo import ByteBudgetMemo
-from repro.obs import metrics
+from repro.obs import capture_observability, metrics
 from repro.parallel import ExecutorPool
 from repro.phone import VibrationChannel
 
@@ -277,7 +277,10 @@ class TestCollectionParity:
             corpus=corpus, channel=channel, detector=engine._default_detector(channel),
             seed=3, size=32, feature_highpass_hz=None, origin_pid=os.getpid() + 1,
         )
-        rows, capture = engine._run_chunk_task((config, list(enumerate(corpus.specs[:5]))))
+        task = (config, list(enumerate(corpus.specs[:5])))
+        with capture_observability() as capture:
+            [(rows, error)] = ExecutorPool().map_traced(engine._run_chunk_task, [task])
+        assert error is None
         assert any(label is not None for _, label, _, _ in rows)
         assert capture.registry.counter_total("render.cache_hits") == 1
         assert len(memo) == 1 and corpus.render(corpus.specs[0]) is inherited

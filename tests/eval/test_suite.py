@@ -104,3 +104,34 @@ class TestParallelRunTable:
                 assert cell.status == "ok"
         finally:
             reset_observability()
+
+    def test_serial_cell_error_raises_after_every_cell_span(self, monkeypatch):
+        """A failing first cell must not stop the serial table early."""
+        import repro.eval.suite as suite_mod
+
+        real = suite_mod.run_bundle_experiment
+
+        def flaky(bundle, classifier, **kwargs):
+            if classifier == "logistic":
+                raise RuntimeError("solver diverged")
+            return real(bundle, classifier, **kwargs)
+
+        monkeypatch.setattr(suite_mod, "run_bundle_experiment", flaky)
+        reset_observability()
+        try:
+            with pytest.raises(RuntimeError, match="solver diverged"):
+                run_table(
+                    "IV", subsample=6, seed=0, fast=True,
+                    classifiers=("logistic", "multiclass"),
+                )
+            tables = tracer().find("table")
+            assert len(tables) == 1 and tables[0].status == "error"
+            cells = {
+                s.labels["classifier"]: s for s in tables[0].walk() if s.name == "cell"
+            }
+            assert sorted(cells) == ["logistic", "multiclass"]
+            assert cells["logistic"].status == "error"
+            assert cells["multiclass"].status == "ok"
+            assert all(c.parent_id == tables[0].span_id for c in cells.values())
+        finally:
+            reset_observability()

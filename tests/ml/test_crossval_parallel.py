@@ -120,31 +120,36 @@ class TestWorkerSpans:
 
     def test_exception_in_fold_keeps_trace_balanced(self):
         """Fold 3 raising must not lose the other folds' spans."""
-        X, y = blobs()
-        folds = list(StratifiedKFold(5, seed=0).split(y))
-        sentinel_row = folds[3][1][0]  # lands in fold 3's test split
-        X = X.copy()
-        X[sentinel_row, 0] = SENTINEL
+        _assert_fold_3_fails_after_every_fold_span(n_jobs=2, executor="thread")
 
-        with pytest.raises(RuntimeError, match="sentinel sample held out"):
-            with trace("experiment") as root:
-                cross_val_score(
-                    SentinelClassifier(), X, y, n_splits=5,
-                    n_jobs=2, executor="thread",
-                )
-        fold_spans = {
-            s.labels["fold"]: s for s in root.walk() if s.name == "fold"
-        }
-        assert sorted(fold_spans) == [0, 1, 2, 3, 4]  # all shipped back
-        assert fold_spans[3].status == "error"
-        assert "sentinel" in fold_spans[3].error
-        for fold, span in fold_spans.items():
-            if fold != 3:
-                assert span.status == "ok"
-        # every span closed: durations recorded, nothing left open
-        for span in root.walk():
-            assert span._t0 is None
-        assert tracer().current() is None
+    def test_serial_fold_error_raises_after_every_fold_span(self):
+        """Serial runs every fold before raising, like the pools do."""
+        _assert_fold_3_fails_after_every_fold_span()
+
+
+def _assert_fold_3_fails_after_every_fold_span(**kwargs):
+    X, y = blobs()
+    folds = list(StratifiedKFold(5, seed=0).split(y))
+    sentinel_row = folds[3][1][0]  # lands in fold 3's test split
+    X = X.copy()
+    X[sentinel_row, 0] = SENTINEL
+
+    with pytest.raises(RuntimeError, match="sentinel sample held out"):
+        with trace("experiment") as root:
+            cross_val_score(SentinelClassifier(), X, y, n_splits=5, **kwargs)
+    fold_spans = {
+        s.labels["fold"]: s for s in root.walk() if s.name == "fold"
+    }
+    assert sorted(fold_spans) == [0, 1, 2, 3, 4]  # all shipped back
+    assert fold_spans[3].status == "error"
+    assert "sentinel" in fold_spans[3].error
+    for fold, span in fold_spans.items():
+        if fold != 3:
+            assert span.status == "ok"
+    # every span closed: durations recorded, nothing left open
+    for span in root.walk():
+        assert span._t0 is None
+    assert tracer().current() is None
 
 
 class TestPoolReuse:

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import repro.ml.persistence as persistence
+from repro.artifact import ArtifactIntegrityError, write_artifact
 from repro.ml.forest import RandomForest
 from repro.ml.lmt import LogisticModelTree
 from repro.ml.logistic import LogisticRegression
@@ -31,6 +33,11 @@ def blobs(n_per_class=40, k=3, d=5, seed=0):
 @pytest.fixture()
 def data():
     return blobs()
+
+
+def write_member(path, text):
+    """An artifact whose ``classifier.json`` member holds ``text``."""
+    write_artifact(path, {"classifier.json": text.encode()}, lambda table: {"members": table})
 
 
 class TestRoundTrips:
@@ -66,6 +73,44 @@ class TestRoundTrips:
         assert set(restored.predict(X)) <= {"c0", "c1", "c2"}
 
 
+class TestIntegrity:
+    @pytest.mark.parametrize("name", ["model.zip", "model"])
+    def test_changed_coefficient_is_refused_before_parsing(
+        self, data, tmp_path, monkeypatch, name
+    ):
+        X, y = data
+        path = tmp_path / name
+        save_classifier(LogisticRegression().fit(X, y), path)
+        if path.is_dir():
+            member = path / "classifier.json"
+            raw = member.read_bytes()
+            member.write_bytes(raw.replace(b'"coef": [[', b'"coef": [[9', 1))
+        else:
+            raw = path.read_bytes()
+            at = raw.index(b'"coef": [[') + len(b'"coef": [[')
+            path.write_bytes(raw[:at] + b"9" + raw[at + 1:])
+
+        def bomb(payload):
+            raise AssertionError("a tampered classifier reached the parser")
+
+        monkeypatch.setattr(persistence, "classifier_from_dict", bomb)
+        with pytest.raises(ArtifactIntegrityError, match="classifier.json"):
+            load_classifier(path)
+
+    def test_bare_json_file_is_not_an_artifact(self, data, tmp_path):
+        X, y = data
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(classifier_to_dict(LogisticRegression().fit(X, y))))
+        with pytest.raises(ArtifactIntegrityError, match=r"bare\.json"):
+            load_classifier(path)
+
+    def test_other_artifact_is_refused(self, tmp_path):
+        path = tmp_path / "other.zip"
+        write_artifact(path, {"weights.npy": np.zeros(3)}, lambda table: {"members": table})
+        with pytest.raises(ArtifactIntegrityError, match="classifier.json"):
+            load_classifier(path)
+
+
 class TestSafety:
     def test_unsupported_type_rejected(self, data):
         X, y = data
@@ -89,19 +134,19 @@ class TestErrorPathNaming:
 
     def test_invalid_json_names_file(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        write_member(path, "{not json")
         with pytest.raises(ValueError, match=r"broken\.json.*not valid classifier JSON"):
             load_classifier(path)
 
     def test_non_object_payload_names_file(self, tmp_path):
         path = tmp_path / "list.json"
-        path.write_text("[1, 2, 3]")
+        write_member(path, "[1, 2, 3]")
         with pytest.raises(ValueError, match=r"list\.json.*expected a classifier JSON object"):
             load_classifier(path)
 
     def test_unknown_kind_names_file(self, tmp_path):
         path = tmp_path / "hostile.json"
-        path.write_text(json.dumps({"kind": "os.system"}))
+        write_member(path, json.dumps({"kind": "os.system"}))
         with pytest.raises(ValueError, match=r"hostile\.json.*unknown classifier kind"):
             load_classifier(path)
 
@@ -110,7 +155,7 @@ class TestErrorPathNaming:
         payload = classifier_to_dict(LogisticRegression().fit(X, y))
         del payload["coef"]
         path = tmp_path / "truncated.json"
-        path.write_text(json.dumps(payload))
+        write_member(path, json.dumps(payload))
         with pytest.raises(ValueError, match=r"truncated\.json"):
             load_classifier(path)
 

@@ -559,6 +559,61 @@ class TestAsyncClient:
         run_async(scenario())
 
 
+class TestPredictFrames:
+    @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+    def test_both_clients_send_the_same_frame(self, monkeypatch, binary):
+        """One frame builder: identical bytes from both clients, encoded
+        through the frontend module's ``encode_message`` name."""
+        import repro.serve.frontend as frontend_mod
+
+        features = make_blobs(n_per_class=1)[0][0]
+        options = dict(lane="batch", model="blobs-clf", timeout_s=2.5, binary=binary)
+        encoded = []
+
+        def spy(*args):
+            encoded.append(encode_message(*args))
+            return encoded[-1]
+
+        monkeypatch.setattr(frontend_mod, "encode_message", spy)
+
+        class Writer:
+            def write(self, frame):
+                self.frame = frame
+
+        async def submit_async():
+            client = AsyncFrontendClient("127.0.0.1", 1, tenant="t1")
+            client._writer = Writer()
+            client.submit(features, **options)
+            return client._writer.frame
+
+        class Socket:
+            def sendall(self, frame):
+                self.frame = frame
+
+            def recv(self, n):
+                return encode_message({"op": "result", "id": 1})
+
+            def close(self):
+                pass
+
+        sock = Socket()
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **k: sock)
+        async_frame = run_async(submit_async())
+        with FrontendClient("127.0.0.1", 1, tenant="t1") as client:
+            client.predict(features, **options)
+
+        message = {
+            "op": "predict", "id": 1, "tenant": "t1", "lane": "batch",
+            "model": "blobs-clf", "timeout_s": 2.5, "kind": "features",
+        }
+        if binary:
+            expected = encode_message(message, np.asarray(features, dtype=float))
+        else:
+            expected = encode_message({**message, "payload": [float(x) for x in features]})
+        assert async_frame == sock.frame == expected
+        assert encoded == [expected, expected]
+
+
 class TestGracefulDrain:
     def test_drain_answers_every_accepted_request(self, clf_registry):
         """stop() sheds new work but serves everything already admitted."""
