@@ -7,9 +7,14 @@ destroy the feature information and is therefore *not* used on the feature
 path). Both are expressed through the helpers here.
 
 Design is delegated to :func:`scipy.signal.butter` in second-order-section
-form for numerical stability; filtering uses :func:`scipy.signal.sosfiltfilt`
-so the detection path adds no group delay (matching the offline MATLAB
-analysis in the paper).
+form for numerical stability; filtering reproduces
+:func:`scipy.signal.sosfiltfilt` bit for bit, so the detection path adds no
+group delay (matching the offline MATLAB analysis in the paper). Every pass
+calls ``scipy.signal._sosfilt._sosfilt``, the kernel that
+:func:`scipy.signal.sosfilt` runs after copying its input, directly and in
+place on a C-contiguous float64 stack; ``tests/dsp/test_filters.py`` pins
+its bytes to the public functions, so a scipy release that moves or
+changes it fails there.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy import signal as _signal
+from scipy.signal._sosfilt import _sosfilt
 
 __all__ = [
     "butter_highpass",
@@ -137,13 +143,15 @@ def sosfilt_zero_phase_batch(sos: np.ndarray, x: np.ndarray, lengths, lead: int 
     share one stacked call per direction: trailing columns never reach
     back into a row's valid prefix, and per-row initial conditions ride
     along on the stacked ``zi`` axis. The odd extensions are written
-    into the stack around each row, and each pass's reversal is one
-    slice copy per row into the other pass's buffer.
+    into the stack around each row, the forward pass filters that stack
+    in place, and the reversal is one slice copy per row into a second
+    buffer, which the backward pass filters in place.
 
-    When the rows sit at least :func:`zero_phase_edge` columns in from
-    both sides of ``x`` (``lead`` and after every row's end), ``x`` is
-    scratch: the extensions are written around the rows in place and the
-    forward pass reads ``x`` itself. Otherwise the rows are copied once
+    When every row is long enough for the edge padding and sits exactly
+    :func:`zero_phase_edge` columns in from the left of ``x`` (``lead``)
+    with at least as many after its end, ``x`` is scratch: the extensions
+    are written around the rows, the forward pass filters ``x`` itself,
+    and the output is a view of it. Otherwise the rows are copied once
     into a fresh buffer and ``x`` is left untouched.
     """
     x = np.asarray(x, dtype=float)
@@ -156,13 +164,15 @@ def sosfilt_zero_phase_batch(sos: np.ndarray, x: np.ndarray, lengths, lead: int 
     width = int(lengths.max()) if lengths.size else 0
     if lead < 0 or (lengths.size and (lengths.min() < 0 or lead + width > x.shape[1])):
         raise ValueError("every row must lie inside the stack")
+    sos = np.ascontiguousarray(sos, dtype=float)
     threshold = 3 * (2 * sos.shape[0] + 1)
     live = np.flatnonzero(lengths > threshold)
     out = None if 0 < live.size == lengths.size else np.zeros((lengths.size, width))
-    # Rows too short for the edge padding take one causal pass.
+    # Rows too short for the edge padding take one causal pass from rest.
     short = np.flatnonzero((lengths > 0) & (lengths <= threshold))
     if short.size:
-        y = _signal.sosfilt(sos, x[short, lead : lead + int(lengths[short].max())])
+        y = np.ascontiguousarray(x[short, lead : lead + int(lengths[short].max())])
+        _sosfilt(sos, y, np.zeros((short.size, sos.shape[0], 2)))
         for r, row in zip(short, y):
             out[r, : lengths[r]] = row[: lengths[r]]
     if not live.size:
@@ -172,6 +182,7 @@ def sosfilt_zero_phase_batch(sos: np.ndarray, x: np.ndarray, lengths, lead: int 
     ends = edge + n
     if lead >= edge and int(ends.max()) + edge <= x.shape[1] - (lead - edge):
         ext = x[:, lead - edge :] if out is None else x[live, lead - edge :]
+        ext = np.ascontiguousarray(ext)
     else:
         ext = np.zeros((live.size, width + 2 * edge))
         ext[:, edge : edge + width] = x[live, lead : lead + width]
@@ -182,14 +193,17 @@ def sosfilt_zero_phase_batch(sos: np.ndarray, x: np.ndarray, lengths, lead: int 
     right, mirror = ends[:, None] + k, ends[:, None] - 2 - k
     ext[:, :edge] = 2 * ext[:, edge : edge + 1] - ext[:, 2 * edge : edge : -1]
     ext[rows, right] = 2 * ext[rows, ends[:, None] - 1] - ext[rows, mirror]
-    fwd, _ = _signal.sosfilt(sos, ext, axis=-1, zi=zi[:, None, :] * ext[None, :, :1])
+    # Each pass starts from the steady state scaled by the row's first
+    # sample, one (sections, 2) state per row, and filters in place.
+    _sosfilt(sos, ext, zi[None] * ext[:, :1, None])
+    back = np.zeros_like(ext)
     for i, e in enumerate(ends + edge):
-        ext[i, :e] = fwd[i, e - 1 :: -1]
-    bwd, _ = _signal.sosfilt(sos, ext, axis=-1, zi=zi[:, None, :] * ext[None, :, :1])
+        back[i, :e] = ext[i, e - 1 :: -1]
+    _sosfilt(sos, back, zi[None] * back[:, :1, None])
     if out is None:
         # Every row is live: the forward pass's buffer is free to reuse.
-        out = fwd[:, :width]
-    for r, row, m in zip(live, bwd, n):
+        out = ext[:, :width]
+    for r, row, m in zip(live, back, n):
         out[r, :m] = row[edge : edge + m][::-1]
         out[r, m:] = 0.0
     return out

@@ -17,13 +17,14 @@ actually went.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.artifact import describe_source as describe_checkpoint_source
+from repro.artifact import read_artifact, write_artifact
 from repro.nn.activations import softmax
 from repro.nn.layers import Layer, execution_plan
 from repro.nn.losses import CategoricalCrossEntropy
@@ -31,14 +32,6 @@ from repro.nn.optim import Adam
 from repro.nn.policy import get_policy
 
 __all__ = ["Sequential", "History", "describe_checkpoint_source", "forward_batched"]
-
-
-def describe_checkpoint_source(path) -> str:
-    """Human-readable name of a checkpoint source (path or file object)."""
-    if isinstance(path, (str, bytes, os.PathLike)):
-        return str(path)
-    name = getattr(path, "name", None)
-    return str(name) if name is not None else f"<{type(path).__name__}>"
 
 
 def forward_batched(forward, X: np.ndarray, batch_size: int, n_classes: int) -> np.ndarray:
@@ -269,25 +262,30 @@ class Sequential:
 
     # -- persistence --------------------------------------------------------
     def save_weights(self, path) -> None:
-        """Persist all layer parameters (and BatchNorm statistics) to .npz."""
+        """Persist all layer parameters (and BatchNorm statistics) as a
+        :mod:`repro.artifact` container, one hashed ``.npy`` member per
+        array. ``path`` is a file path (``.npz``/``.zip``: an archive,
+        else a directory), replaced atomically, or a binary file object.
+        """
         if not self._built:
             raise RuntimeError("model is not built/fitted")
         arrays = {}
         for i, layer in enumerate(self.layers):
             for j, param in enumerate(layer.params):
-                arrays[f"layer{i}_param{j}"] = param
+                arrays[f"layer{i}_param{j}.npy"] = param
             if hasattr(layer, "running_mean"):
-                arrays[f"layer{i}_running_mean"] = layer.running_mean
-                arrays[f"layer{i}_running_var"] = layer.running_var
-        np.savez_compressed(path, **arrays)
+                arrays[f"layer{i}_running_mean.npy"] = layer.running_mean
+                arrays[f"layer{i}_running_var.npy"] = layer.running_var
+        write_artifact(path, arrays, lambda table: {"members": table})
 
     def load_weights(self, path, input_shape: Optional[Tuple[int, ...]] = None) -> None:
         """Restore parameters saved by :meth:`save_weights`.
 
         An unbuilt model needs ``input_shape`` to allocate its layers
-        before loading. Every error names the checkpoint being loaded,
-        so a bad artifact in a directory of checkpoints is identifiable
-        from the exception alone.
+        before loading. Every member's hash is checked before any
+        parameter changes, and every error names the checkpoint being
+        loaded, so a bad artifact in a directory of checkpoints is
+        identifiable from the exception alone.
         """
         if not self._built:
             if input_shape is None:
@@ -296,33 +294,34 @@ class Sequential:
                 )
             self.build(input_shape)
         source = describe_checkpoint_source(path)
-        with np.load(path) as bundle:
-            for i, layer in enumerate(self.layers):
-                for j, param in enumerate(layer.params):
-                    key = f"layer{i}_param{j}"
+        _, members = read_artifact(path)
+        bundle = {name[: -len(".npy")]: array for name, array in members.items()}
+        for i, layer in enumerate(self.layers):
+            for j, param in enumerate(layer.params):
+                key = f"layer{i}_param{j}"
+                if key not in bundle:
+                    raise ValueError(
+                        f"checkpoint {source}: missing {key}"
+                    )
+                stored = bundle[key]
+                if stored.shape != param.shape:
+                    raise ValueError(
+                        f"checkpoint {source}: {key}: shape "
+                        f"{stored.shape} != expected {param.shape}"
+                    )
+                param[...] = stored
+            if hasattr(layer, "running_mean"):
+                for stat in ("running_mean", "running_var"):
+                    key = f"layer{i}_{stat}"
                     if key not in bundle:
                         raise ValueError(
                             f"checkpoint {source}: missing {key}"
                         )
                     stored = bundle[key]
-                    if stored.shape != param.shape:
+                    current = getattr(layer, stat)
+                    if stored.shape != current.shape:
                         raise ValueError(
                             f"checkpoint {source}: {key}: shape "
-                            f"{stored.shape} != expected {param.shape}"
+                            f"{stored.shape} != expected {current.shape}"
                         )
-                    param[...] = stored
-                if hasattr(layer, "running_mean"):
-                    for stat in ("running_mean", "running_var"):
-                        key = f"layer{i}_{stat}"
-                        if key not in bundle:
-                            raise ValueError(
-                                f"checkpoint {source}: missing {key}"
-                            )
-                        stored = bundle[key]
-                        current = getattr(layer, stat)
-                        if stored.shape != current.shape:
-                            raise ValueError(
-                                f"checkpoint {source}: {key}: shape "
-                                f"{stored.shape} != expected {current.shape}"
-                            )
-                        setattr(layer, stat, stored.astype(current.dtype, copy=False))
+                    setattr(layer, stat, stored.astype(current.dtype, copy=False))

@@ -9,14 +9,20 @@ count. This module hoists that contract out of
 adds :class:`ExecutorPool`: a *persistent* pool that a table run creates
 once and every cell reuses, instead of paying pool start-up per cell.
 It also owns how worker observability travels home: see
-:meth:`ExecutorPool.map_traced`, the one traced fan-out.
+:meth:`ExecutorPool.map_traced`, the one traced fan-out. And it owns
+the CPU budget: each process worker runs numpy's OpenBLAS on
+``max(1, cores // n_jobs)`` threads, so ``n_jobs`` workers that each
+start a full-width BLAS pool do not oversubscribe the machine.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import Span, capture_observability, merge_worker_trace
@@ -24,6 +30,7 @@ from repro.obs import Span, capture_observability, merge_worker_trace
 __all__ = [
     "EXECUTOR_NAMES",
     "ExecutorPool",
+    "blas_threads",
     "resolve_executor",
     "results_or_raise",
     "run_tasks",
@@ -76,7 +83,11 @@ class ExecutorPool:
             if self.executor == "thread":
                 self._pool = ThreadPoolExecutor(max_workers=self.n_jobs)
             else:  # process
-                self._pool = ProcessPoolExecutor(max_workers=self.n_jobs)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_jobs,
+                    initializer=_set_blas_threads,
+                    initargs=(max(1, _cores() // self.n_jobs),),
+                )
         return self._pool
 
     @property
@@ -135,6 +146,47 @@ class ExecutorPool:
         for _, _, capture in outcomes:
             merge_worker_trace(capture, parent=parent)
         return [(result, error) for result, error, _ in outcomes]
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS, or None when numpy links another BLAS."""
+    import numpy
+
+    package = os.path.dirname(numpy.__file__)
+    for pattern in (
+        os.path.join(os.path.dirname(package), "numpy.libs", "libscipy_openblas*"),
+        os.path.join(package, ".dylibs", "libscipy_openblas*"),
+    ):
+        for path in sorted(glob.glob(pattern)):
+            lib = ctypes.CDLL(path)
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+                lib.scipy_openblas_set_num_threads64_.restype = None
+                lib.scipy_openblas_get_num_threads64_.argtypes = []
+                lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+                return lib
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """This process's OpenBLAS thread count (None without numpy's OpenBLAS)."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def _set_blas_threads(n: int) -> None:
+    """Process-worker initializer: run this worker's OpenBLAS on ``n`` threads."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(n)
 
 
 def _call_captured(fn: Callable, item):

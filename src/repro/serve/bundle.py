@@ -17,7 +17,8 @@ or a single ``.zip``:
 - ``cnn.json`` + ``cnn_weights.npz`` — optional CNN adapter
   (:class:`~repro.eval.experiment.FeatureCNNClassifier` or
   :class:`~repro.eval.experiment.SpectrogramCNNClassifier`), weights
-  written by :meth:`repro.nn.model.Sequential.save_weights`.
+  written by :meth:`repro.nn.model.Sequential.save_weights` as a nested
+  :mod:`repro.artifact` archive.
 
 The container is :mod:`repro.artifact`: every save is atomic, so one
 that dies midway leaves the previous bundle loadable, and ``load_bundle``

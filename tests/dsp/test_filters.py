@@ -11,6 +11,8 @@ from repro.dsp.filters import (
     highpass,
     lowpass,
     sosfilt_zero_phase,
+    sosfilt_zero_phase_batch,
+    zero_phase_edge,
 )
 
 
@@ -113,6 +115,31 @@ class TestZeroPhase:
         np.testing.assert_allclose(
             sosfilt_zero_phase(sos, x), sosfiltfilt(sos, x), rtol=0, atol=1e-12
         )
+
+
+class TestPrivateKernelPinnedToScipy:
+    """The zero-phase stack calls scipy's private ``_sosfilt`` kernel in
+    place. Its rows must equal the public functions byte for byte, so a
+    scipy release that moves or changes that kernel fails here."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("placed", [False, True])
+    def test_rows_equal_sosfiltfilt_bytes(self, order, placed):
+        from scipy.signal import sosfilt, sosfiltfilt
+
+        sos = butter_highpass(8.0, 420.0, order=order)
+        rng = np.random.default_rng(order)
+        threshold = 3 * (2 * sos.shape[0] + 1)
+        lengths = [threshold + 1, 40, 500, 1207, 3] if not placed else [threshold + 1, 500, 1207]
+        rows = [9.81 + rng.normal(size=n) for n in lengths]
+        lead = zero_phase_edge(sos) if placed else 0
+        stack = np.zeros((len(rows), 2 * lead + max(lengths)))
+        for r, row in zip(stack, rows):
+            r[lead : lead + row.size] = row
+        got = sosfilt_zero_phase_batch(sos, stack, lengths, lead=lead)
+        for g, row in zip(got, rows):
+            expected = sosfiltfilt(sos, row) if row.size > threshold else sosfilt(sos, row)
+            assert g[: row.size].tobytes() == expected.tobytes()
 
 
 class TestZeroPhaseCache:

@@ -1,8 +1,12 @@
 """Tests for NN callbacks and model weight persistence."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
+from repro.artifact import ArtifactIntegrityError, read_artifact, write_artifact
 from repro.nn.callbacks import EarlyStopping, StepDecay
 from repro.nn.layers import BatchNorm, Conv1D, Dense, Flatten, MaxPool1D, ReLU
 from repro.nn.model import Sequential
@@ -21,6 +25,18 @@ def blobs(n_per_class=50, k=3, d=6, seed=0):
 
 def mlp(k=3, seed=0):
     return Sequential([Dense(16), ReLU(), Dense(k)], n_classes=k, seed=seed)
+
+
+def checkpoint_arrays(path):
+    """The named arrays of a checkpoint written by ``save_weights``."""
+    _, members = read_artifact(path)
+    return {name[: -len(".npy")]: array for name, array in members.items()}
+
+
+def write_checkpoint(path, arrays):
+    """A well-formed checkpoint holding exactly ``arrays``."""
+    members = {f"{name}.npy": array for name, array in arrays.items()}
+    write_artifact(path, members, lambda table: {"members": table})
 
 
 class TestEarlyStopping:
@@ -167,21 +183,19 @@ class TestWeightPersistence:
     def test_missing_running_stats_is_valueerror(self, tmp_path):
         """A checkpoint without BatchNorm stats names the missing key."""
         build, path = self._batchnorm_checkpoint(tmp_path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files
-                      if not k.endswith("running_mean")}
+        arrays = {k: v for k, v in checkpoint_arrays(path).items()
+                  if not k.endswith("running_mean")}
         stripped = tmp_path / "stripped.npz"
-        np.savez_compressed(stripped, **arrays)
+        write_checkpoint(stripped, arrays)
         with pytest.raises(ValueError, match="layer1_running_mean"):
             build().load_weights(stripped, input_shape=(8, 1))
 
     def test_running_stats_shape_mismatch_detected(self, tmp_path):
         build, path = self._batchnorm_checkpoint(tmp_path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
+        arrays = checkpoint_arrays(path)
         arrays["layer1_running_var"] = np.ones(7)
         broken = tmp_path / "broken.npz"
-        np.savez_compressed(broken, **arrays)
+        write_checkpoint(broken, arrays)
         with pytest.raises(ValueError, match="layer1_running_var"):
             build().load_weights(broken, input_shape=(8, 1))
 
@@ -200,10 +214,9 @@ class TestCheckpointErrorNaming:
 
     def test_missing_key_names_checkpoint_path(self, tmp_path):
         path = self._checkpoint(tmp_path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files if not k.endswith("param0")}
+        arrays = {k: v for k, v in checkpoint_arrays(path).items() if not k.endswith("param0")}
         stripped = tmp_path / "stripped.npz"
-        np.savez_compressed(stripped, **arrays)
+        write_checkpoint(stripped, arrays)
         with pytest.raises(ValueError, match=r"checkpoint .*stripped\.npz"):
             mlp().load_weights(stripped, input_shape=(6,))
 
@@ -213,10 +226,30 @@ class TestCheckpointErrorNaming:
         with pytest.raises(ValueError, match=r"checkpoint .*weights\.npz"):
             other.load_weights(path, input_shape=(6,))
 
+    def test_tampered_weight_is_refused_and_named(self, tmp_path):
+        """A weight changed inside an otherwise valid archive fails its
+        hash before any parameter is overwritten."""
+        path = self._checkpoint(tmp_path)
+        with zipfile.ZipFile(path) as zf:
+            members = {info.filename: zf.read(info) for info in zf.infolist()}
+        weights = np.load(io.BytesIO(members["layer0_param0.npy"]))
+        weights.flat[0] += 1.0
+        buffer = io.BytesIO()
+        np.save(buffer, weights)
+        members["layer0_param0.npy"] = buffer.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        clone = mlp()
+        clone.build((6,))
+        before = [param.copy() for layer in clone.layers for param in layer.params]
+        with pytest.raises(ArtifactIntegrityError, match=r"weights\.npz.*layer0_param0"):
+            clone.load_weights(path)
+        after = [param for layer in clone.layers for param in layer.params]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
     def test_file_objects_name_their_label(self, tmp_path):
         """In-memory checkpoints (bundle members) surface their .name."""
-        import io
-
         from repro.nn.model import describe_checkpoint_source
 
         path = self._checkpoint(tmp_path)

@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.obs import metrics, reset_observability, trace, tracer
-from repro.parallel import ExecutorPool, results_or_raise
+from repro.parallel import ExecutorPool, _cores, blas_threads, results_or_raise
 
 EXECUTORS = ["serial", "thread", "process"]
 
@@ -24,6 +24,10 @@ def _traced_square(x):
             raise ValueError("three is not allowed")
         metrics().count("tasks_done")
         return x * x
+
+
+def _blas_threads(_):
+    return blas_threads()
 
 
 def _pool(executor):
@@ -44,6 +48,17 @@ class TestBrokenPool:
                 pool.map(_square_or_die, [1, -1, 2, 3])
             assert pool.map(_square_or_die, range(4)) == [0, 1, 4, 9]
             assert pool.map(_square_or_die, range(5, 7)) == [25, 36]
+
+
+class TestBlasBudget:
+    def test_process_workers_share_the_cores_and_serial_keeps_the_default(self):
+        default = blas_threads()
+        if default is None:
+            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+        with ExecutorPool(n_jobs=2, executor="process") as pool:
+            assert pool.map(_blas_threads, range(4)) == [max(1, _cores() // 2)] * 4
+        assert ExecutorPool(n_jobs=1).map(_blas_threads, range(2)) == [default] * 2
+        assert blas_threads() == default
 
 
 @pytest.mark.usefixtures("fresh_observability")
