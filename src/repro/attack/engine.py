@@ -65,6 +65,7 @@ from repro.obs import capture_observability, merge_worker_trace, metrics, trace
 from repro.parallel import (
     EXECUTOR_NAMES, ExecutorPool, resolve_executor, results_or_raise, run_tasks,
 )
+from repro.phone import channel as phone_channel
 from repro.phone.channel import Placement, VibrationChannel
 
 __all__ = [
@@ -333,12 +334,13 @@ def _run_chunk_task(task: Tuple[_PassConfig, Sequence[Tuple[int, UtteranceSpec]]
     and every healthy row keeps its byte-identical product.
 
     A process worker of the pass's own pool exits with the pass, so a
-    waveform it stored would never be read again: it reads the render
-    memo it inherited but stores nothing.
+    waveform or vibration it stored would never be read again: it reads
+    the render and vibration memos it inherited but stores nothing.
     """
     config, items = task
     if os.getpid() != config.origin_pid:
         datasets_base._RENDER_MEMO.budget_bytes = 0
+        phone_channel._TRANSMIT_MEMO.budget_bytes = 0
     try:
         return _run_chunk(config, items)
     except Exception:

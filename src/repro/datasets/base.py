@@ -21,6 +21,13 @@ evictions are counted as ``render.cache_hits`` and
 ``render.cache_evictions`` in :func:`repro.obs.metrics`. The process
 pool of a collection pass sets its workers' budget to 0: they read the
 memo they inherit but store nothing, since they exit with the pass.
+
+The memo hands out the same read-only array on every hit, and that
+identity is what the table-top vibration memo of
+:meth:`repro.phone.VibrationChannel.transmit_batch` keys on: a waveform
+served again through an equal speaker and chassis skips the drive and
+the chassis transfer too, and only the ADC runs. A waveform rebuilt
+after an eviction is a new array, so its vibration is computed afresh.
 """
 
 from __future__ import annotations

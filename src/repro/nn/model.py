@@ -49,6 +49,18 @@ def forward_batched(forward, X: np.ndarray, batch_size: int, n_classes: int) -> 
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
 
+def _checked(bundle, key: str, current: np.ndarray, source: str) -> np.ndarray:
+    """Checkpoint entry ``key``, which must exist with ``current``'s shape."""
+    if key not in bundle:
+        raise ValueError(f"checkpoint {source}: missing {key}")
+    stored = bundle[key]
+    if stored.shape != current.shape:
+        raise ValueError(
+            f"checkpoint {source}: {key}: shape {stored.shape} != expected {current.shape}"
+        )
+    return stored
+
+
 @dataclass
 class History:
     """Per-epoch training curves (the data behind paper Fig. 7)."""
@@ -296,32 +308,17 @@ class Sequential:
         source = describe_checkpoint_source(path)
         _, members = read_artifact(path)
         bundle = {name[: -len(".npy")]: array for name, array in members.items()}
+        # Check every entry's presence and shape first, so a mismatched
+        # checkpoint raises with the model untouched.
+        params, stats = [], []
         for i, layer in enumerate(self.layers):
             for j, param in enumerate(layer.params):
-                key = f"layer{i}_param{j}"
-                if key not in bundle:
-                    raise ValueError(
-                        f"checkpoint {source}: missing {key}"
-                    )
-                stored = bundle[key]
-                if stored.shape != param.shape:
-                    raise ValueError(
-                        f"checkpoint {source}: {key}: shape "
-                        f"{stored.shape} != expected {param.shape}"
-                    )
-                param[...] = stored
+                params.append((param, _checked(bundle, f"layer{i}_param{j}", param, source)))
             if hasattr(layer, "running_mean"):
                 for stat in ("running_mean", "running_var"):
-                    key = f"layer{i}_{stat}"
-                    if key not in bundle:
-                        raise ValueError(
-                            f"checkpoint {source}: missing {key}"
-                        )
-                    stored = bundle[key]
-                    current = getattr(layer, stat)
-                    if stored.shape != current.shape:
-                        raise ValueError(
-                            f"checkpoint {source}: {key}: shape "
-                            f"{stored.shape} != expected {current.shape}"
-                        )
-                    setattr(layer, stat, stored.astype(current.dtype, copy=False))
+                    stored = _checked(bundle, f"layer{i}_{stat}", getattr(layer, stat), source)
+                    stats.append((layer, stat, stored))
+        for param, stored in params:
+            param[...] = stored
+        for layer, stat, stored in stats:
+            setattr(layer, stat, stored.astype(getattr(layer, stat).dtype, copy=False))

@@ -15,18 +15,32 @@ data-collection configurations:
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.memo import ByteBudgetMemo
+from repro.obs import metrics
 from repro.phone.accelerometer import Accelerometer
 from repro.phone.chassis import ChassisTransfer
 from repro.phone.devices import DeviceProfile, get_device
 from repro.phone.motion import HandheldMotion, MotionProcess
 from repro.phone.speaker import SpeakerModel, ear_speaker_model, loudspeaker_model
 
-__all__ = ["SpeakerMode", "Placement", "VibrationChannel"]
+__all__ = ["SpeakerMode", "Placement", "VibrationChannel", "TRANSMIT_MEMO_BYTES"]
+
+#: Byte budget of the process-wide vibration memo, the render memo's
+#: (:data:`repro.datasets.base.RENDER_MEMO_BYTES`): at ~93 KB per padded
+#: 8 kHz utterance it holds the vibration of ~2,800 utterances.
+TRANSMIT_MEMO_BYTES = 256 << 20
+
+#: Table-top vibration rows (speaker drive, then chassis transfer) keyed
+#: by ``(id(audio), speaker, chassis, audio_fs, pad)``; each value is
+#: ``(weakref to audio, read-only row)``. Module state, so a pickled
+#: channel never carries it to a worker process.
+_TRANSMIT_MEMO = ByteBudgetMemo(TRANSMIT_MEMO_BYTES, "transmit.cache_evictions")
 
 
 class SpeakerMode(str, enum.Enum):
@@ -163,14 +177,23 @@ class VibrationChannel:
         on each side — ``transmit(np.pad(audios[i], pad), audio_fs,
         rngs[i])`` — and draws only from its own generator ``rngs[i]``
         (the engine's per-utterance RNG derivation). The chunk is one
-        vibration stack with its rows ordered by length; runs of
-        near-equal rows share a drive stack
+        vibration stack; runs of near-equal rows share a drive stack
         (:meth:`~repro.phone.speaker.SpeakerModel.drive_batch`: each row
         copied once, then the roll-off, compression and gain in place),
         and the chassis biquad mixes each run straight into its block of
         the vibration stack. The sensor front end then draws each row's
         noise from its generator and samples the whole stack at once;
         each trace is a view of one output stack.
+
+        The vibration before the sensor is a pure function of the audio,
+        the speaker, the chassis, ``audio_fs`` and ``pad``, so it is
+        memoised per process: a read-only audio array played again
+        through an equal speaker and chassis copies its row from the memo
+        (``transmit.cache_hits``) instead of running the drive and the
+        chassis. The key is the array's identity, checked through a weak
+        reference, so a recycled ``id``, a writable array or a fresh copy
+        of the same samples never hits. Every row still goes through the
+        ADC with its own generator, so a hit changes no byte.
 
         Handheld placement is rejected: the motion process is stateful
         across calls, so the engine routes those rows through per-row
@@ -191,15 +214,29 @@ class VibrationChannel:
                 raise ValueError(f"audio {i} must be 1-D, got shape {audio.shape}")
         if pad < 0:
             raise ValueError(f"pad must be non-negative, got {pad}")
-        order = sorted(range(len(audios)), key=lambda i: audios[i].size)
+        keys = [self._vibration_key(audio, audio_fs, pad) for audio in audios]
+        cached = [_recall(key, audio) for key, audio in zip(keys, audios)]
+        # Misses first, each part by length, so the misses' runs are one
+        # block of the stack that the chassis writes straight into.
+        order = sorted(range(len(audios)), key=lambda i: (cached[i] is not None, audios[i].size))
+        n_miss = sum(row is None for row in cached)
         lengths = np.array([audios[i].size + 2 * pad for i in order], dtype=np.intp)
-        vibration = np.zeros((lengths.size, int(lengths[-1]) if lengths.size else 0))
-        for start, stop in _length_runs(lengths):
+        vibration = np.zeros((lengths.size, int(lengths.max()) if lengths.size else 0))
+        for start, stop in _length_runs(lengths[:n_miss]):
             if lengths[start]:
                 rows = order[start:stop]
                 force = self._speaker.drive_batch([audios[i] for i in rows], audio_fs, pad)
                 block = vibration[start:stop, : force.shape[1]]
                 self._chassis.transfer_stack(force, audio_fs, out=block)
+        for k, i in enumerate(order):
+            if k < n_miss:
+                _remember(keys[i], audios[i], vibration[k, : lengths[k]])
+            else:
+                vibration[k, : lengths[k]] = cached[i]
+        registry = metrics()
+        if n_miss < len(order):
+            registry.count("transmit.cache_hits", len(order) - n_miss)
+        registry.gauge("transmit.memo_bytes", _TRANSMIT_MEMO.nbytes)
         sorted_rngs = [rngs[i] for i in order]
         slow = None
         if self.environment is not None:
@@ -209,6 +246,38 @@ class VibrationChannel:
             )
         traces = self._accel.sample_stack(vibration, lengths, audio_fs, sorted_rngs, slow)
         return [traces[k] for k in np.argsort(order)]
+
+    def _vibration_key(self, audio: np.ndarray, audio_fs: float, pad: int) -> Optional[tuple]:
+        """The vibration memo's key for ``audio``, or None if it may change."""
+        if not _frozen(audio):
+            return None
+        return (id(audio), self._speaker, self._chassis, float(audio_fs), int(pad))
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether no writable array reaches ``array``'s memory (it and its bases)."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def _recall(key: Optional[tuple], audio: np.ndarray) -> Optional[np.ndarray]:
+    """The memoised vibration row of ``audio`` — only if ``audio`` itself made it."""
+    entry = None if key is None else _TRANSMIT_MEMO.get(key)
+    if entry is None or entry[0]() is not audio:
+        return None
+    return entry[1]
+
+
+def _remember(key: Optional[tuple], audio: np.ndarray, row: np.ndarray) -> None:
+    """Keep a read-only copy of ``audio``'s vibration ``row`` in the memo."""
+    if key is None or row.nbytes > _TRANSMIT_MEMO.budget_bytes:
+        return  # may change, or would not be kept (a pool worker's budget is 0)
+    row = row.copy()
+    row.setflags(write=False)
+    _TRANSMIT_MEMO.put(key, (weakref.ref(audio), row), row.nbytes)
 
 
 def _length_runs(sizes: np.ndarray, max_ratio: float = 1.3) -> List[Tuple[int, int]]:

@@ -3,9 +3,10 @@
 Expensive artefacts (small corpora, collected datasets) are session-scoped
 so the cost is paid once.
 
-Every test gets an empty process-wide render memo, so a waveform the
-test renders is synthesised by that test and never served from another
-test's renders.
+Every test gets an empty process-wide render memo and vibration memo,
+so a waveform the test renders is synthesised by that test and never
+served from another test's renders, and no test inherits another's
+memoised vibration rows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.attack.pipeline import EmoLeakAttack
 from repro.datasets import base, build_tess
 from repro.memo import ByteBudgetMemo
 from repro.phone import VibrationChannel
+from repro.phone import channel as phone_channel
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +26,14 @@ def render_memo(monkeypatch):
     """An empty render memo for this test; clear it to force re-synthesis."""
     memo = ByteBudgetMemo(base.RENDER_MEMO_BYTES, "render.cache_evictions")
     monkeypatch.setattr(base, "_RENDER_MEMO", memo)
+    return memo
+
+
+@pytest.fixture(autouse=True)
+def transmit_memo(monkeypatch):
+    """An empty vibration memo for this test (``VibrationChannel.transmit_batch``)."""
+    memo = ByteBudgetMemo(phone_channel.TRANSMIT_MEMO_BYTES, "transmit.cache_evictions")
+    monkeypatch.setattr(phone_channel, "_TRANSMIT_MEMO", memo)
     return memo
 
 

@@ -355,12 +355,17 @@ def _golden_checks():
     ],
 )
 def test_golden_fixtures_byte_identical(monkeypatch, golden, state):
+    """A warm pass also replays its vibration from the transmit memo,
+    except the handheld session's, which never goes through it."""
     collect, check = _golden_checks()[golden]
     _fresh_memo(monkeypatch)
     if state == "warm":
         collect()
         before = _hits()
+        transmits_before = metrics().counter_total("transmit.cache_hits")
         check(collect())
         assert _hits() > before
+        transmit_hits = metrics().counter_total("transmit.cache_hits") - transmits_before
+        assert (transmit_hits == 0) if golden == "golden_multitask_handheld" else transmit_hits > 0
     else:
         check(collect())

@@ -199,6 +199,24 @@ class TestWeightPersistence:
         with pytest.raises(ValueError, match="layer1_running_var"):
             build().load_weights(broken, input_shape=(8, 1))
 
+    def test_bad_running_stat_leaves_the_model_unchanged(self, tmp_path):
+        build, path = self._batchnorm_checkpoint(tmp_path)
+        arrays = checkpoint_arrays(path)
+        arrays["layer1_running_var"] = np.ones(7)
+        broken = tmp_path / "broken.npz"
+        write_checkpoint(broken, arrays)
+        model = build()
+        model.build((8, 1))
+        norm = model.layers[1]
+        before = [param.copy() for layer in model.layers for param in layer.params]
+        stats = (norm.running_mean.copy(), norm.running_var.copy())
+        with pytest.raises(ValueError, match="layer1_running_var"):
+            model.load_weights(broken)
+        after = [param for layer in model.layers for param in layer.params]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        assert norm.running_mean.tobytes() == stats[0].tobytes()
+        assert norm.running_var.tobytes() == stats[1].tobytes()
+
 
 class TestCheckpointErrorNaming:
     """Regression guard: checkpoint errors name the offending source, so
@@ -246,6 +264,18 @@ class TestCheckpointErrorNaming:
         with pytest.raises(ArtifactIntegrityError, match=r"weights\.npz.*layer0_param0"):
             clone.load_weights(path)
         after = [param for layer in clone.layers for param in layer.params]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+    def test_mismatch_leaves_every_parameter_unchanged(self, tmp_path):
+        """A 3-class checkpoint in a 4-class model fails at layer 2 before
+        layer 0 is written."""
+        path = self._checkpoint(tmp_path)
+        other = mlp(k=4, seed=1)
+        other.build((6,))
+        before = [param.copy() for layer in other.layers for param in layer.params]
+        with pytest.raises(ValueError, match=r"weights\.npz: layer2_param0: shape"):
+            other.load_weights(path)
+        after = [param for layer in other.layers for param in layer.params]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
     def test_file_objects_name_their_label(self, tmp_path):

@@ -14,6 +14,10 @@ unusual branches:
 - the stacked lerp against ``np.interp``: phase 0, phase just below 1,
   one-sample outputs, and rows carrying NaN and +-inf;
 - the spectrogram framing gather against per-row ``frame_signal``.
+
+Each oracle chunk is also sent a second time, with fresh generators, so
+its rows come from the vibration memo and must still match byte for
+byte.
 """
 
 import numpy as np
@@ -25,6 +29,7 @@ from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase_batch, 
 from repro.dsp.resample import sample_and_decimate_batch
 from repro.dsp.spectrogram import _frame_rows
 from repro.dsp.stft import frame_signal
+from repro.obs import metrics
 from repro.phone import VibrationChannel
 
 from tests.phone._transmit_reference import (
@@ -76,12 +81,18 @@ class TestTransmitBatchAgainstOracle:
         seed=_seeds,
     )
     def test_rows_match_oracle(self, lengths, channel_kwargs, pad, seed):
+        """Each chunk goes twice, as read-only rows: cold, then from the vibration memo."""
         channel = VibrationChannel("oneplus7t", seed=seed % 1000, **channel_kwargs)
         audios = _rows(lengths, seed)
-        got = channel.transmit_batch(audios, FS, _rngs(seed, len(audios)), pad=pad)
+        for audio in audios:
+            audio.setflags(write=False)
         padded = [np.pad(a, pad) for a in audios]
         ref = reference_transmit_batch(channel, padded, FS, _rngs(seed, len(audios)))
-        _assert_rows_equal(got, ref)
+        before = metrics().counter_total("transmit.cache_hits")
+        for _ in range(2):
+            got = channel.transmit_batch(audios, FS, _rngs(seed, len(audios)), pad=pad)
+            _assert_rows_equal(got, ref)
+        assert metrics().counter_total("transmit.cache_hits") - before == len(audios)
 
     @settings(max_examples=10, deadline=None)
     @given(n=_lengths, channel_kwargs=_channels, seed=_seeds)
