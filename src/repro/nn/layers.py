@@ -29,17 +29,36 @@ summation survives only as the test oracle
 ``tests/nn/_kernel_offset_oracle.py``, which pins this lowering's
 outputs and gradients at ``rtol=1e-10``.
 
+The set-up of that lowering depends only on the per-sample input shape,
+so each layer keeps it in a :class:`_ConvPlan` until that shape
+changes: the pads, output shape, chunk size and col2im spans, and the
+views of the pad workspace. The pad borders are zeroed when the
+workspace hands out a new buffer, not per call. A small inference batch
+(the serving path, which quantised layers share) then pays for its two
+copies (input into the pad interior, fields into the cols) and its
+GEMM, and little else. Every buffer stays in the layer's grow-only
+workspaces; the plan holds views only and no state per batch size.
+
 Max pooling sweeps the pool-window offsets as strided views in row-major
 order, keeping the running max and a compact (uint8 when it fits)
 first-occurrence window index; backward scatters the gradient's bit
 patterns into the winning offsets. :class:`~repro.nn.model.Sequential`
 runs each ``ReLU -> Dropout -> MaxPool`` run of layers as one
 :class:`ReLUDropoutPool` unit (see :func:`execution_plan`), which keeps
-only the pooled output and that index for backward.
+only the pooled output and that index for backward. At inference both
+pools compute the pooled values only, by the same ``np.maximum`` chain,
+and keep a reference to their input instead of the index; a backward
+after an inference forward derives the index from that input, as a conv
+rebuilds its cols. The model containers' predict and evaluate never
+backpropagate, so they drop that reference as soon as the pool has
+answered (:func:`_release_input`): a pool's input is often the largest
+activation of the pass.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,12 +98,15 @@ class _Workspace:
     def __init__(self):
         self._buf: Optional[np.ndarray] = None
 
-    def get(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        size = int(np.prod(shape))
-        dtype = np.dtype(dtype)
+    def reserve(self, size: int, dtype) -> np.ndarray:
+        """The flat buffer, holding at least ``size`` elements of ``dtype``."""
         if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
             self._buf = np.empty(max(size, 1), dtype=dtype)
-        return self._buf[:size].reshape(shape)
+        return self._buf
+
+    def get(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        return self.reserve(size, dtype)[:size].reshape(shape)
 
 
 class Layer:
@@ -251,7 +273,7 @@ class BatchNorm(Layer):
         self._x_hat = (x - mean) / np.sqrt(var + self.eps)
         self._var = var
         self._axes = axes
-        self._m = int(np.prod([x.shape[a] for a in axes]))
+        self._m = math.prod(x.shape[:-1])
         return self.gamma * self._x_hat + self.beta
 
     def backward(self, grad):
@@ -281,11 +303,6 @@ def _pad_amounts(size: int, kernel: int, padding: str) -> Tuple[int, int]:
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def _conv_pads(x_shape, ksize, padding: str):
-    """``(before, after)`` zero padding per spatial axis of ``(n, *spatial, c)``."""
-    return tuple(_pad_amounts(s, k, padding) for s, k in zip(x_shape[1:-1], ksize))
-
-
 #: A chunk's im2col rows take about this many bytes (half a 2 MiB L2).
 _CHUNK_COLS_BYTES = 1 << 20
 #: Every chunk GEMM does at least this many multiply-adds. Smaller GEMMs
@@ -294,116 +311,168 @@ _CHUNK_COLS_BYTES = 1 << 20
 _CHUNK_MIN_MACS = 1 << 20
 
 
-def _chunk_bounds(n: int, rows: int, depth: int, filters: int, itemsize: int) -> List[int]:
-    """Sample bounds ``[0, ..., n]`` of the lowering's chunks.
-
-    A sample has ``rows`` im2col rows of ``depth`` columns. A chunk holds
-    enough samples for about ``_CHUNK_COLS_BYTES`` of cols, and for at
-    least ``_CHUNK_MIN_MACS`` multiply-adds against ``filters`` outputs.
-    The batch splits evenly, so no chunk is smaller than that; a batch
-    that fits runs as one chunk.
-    """
+def _chunk_samples(rows: int, depth: int, filters: int, itemsize: int) -> int:
+    """Samples per chunk: about ``_CHUNK_COLS_BYTES`` of cols, and at
+    least ``_CHUNK_MIN_MACS`` multiply-adds against ``filters`` outputs,
+    for samples of ``rows`` im2col rows of ``depth`` columns."""
     fit = _CHUNK_COLS_BYTES // (rows * depth * itemsize)
     floor = -(-_CHUNK_MIN_MACS // (rows * depth * filters))
-    k = max(1, n // max(1, fit, floor))
+    return max(1, fit, floor)
+
+
+def _split(n: int, per_chunk: int) -> List[int]:
+    """``[0, ..., n]`` cut into ``n // per_chunk`` (at least one) even parts."""
+    k = max(1, n // per_chunk)
     return [n * i // k for i in range(k + 1)]
 
 
-def _fields(x: np.ndarray, ksize, pads, pad_ws: _Workspace, chunk: int):
-    """``fields(a, b)``: the receptive fields of samples ``x[a:b]``.
+def _chunk_bounds(n: int, rows: int, depth: int, filters: int, itemsize: int) -> List[int]:
+    """Sample bounds ``[0, ..., n]`` of the lowering's chunks.
 
-    ``x`` is ``(n, *spatial, c)``; each result is a strided
-    ``(b - a, *out, *ksize, c)`` view. A padded ``x`` goes through
-    ``pad_ws``, sized for ``chunk`` samples: its border strips are
-    zeroed once per call, and each chunk copies in only its interior.
+    A chunk holds :func:`_chunk_samples` samples or more: the batch
+    splits evenly, so no chunk is smaller than that; a batch that fits
+    runs as one chunk.
     """
-    c = x.shape[-1]
-    if any(p0 or p1 for p0, p1 in pads):
-        spatial = tuple(s + p0 + p1 for s, (p0, p1) in zip(x.shape[1:-1], pads))
-        src = pad_ws.get((chunk,) + spatial + (c,), x.dtype)
-        for axis, (p0, p1) in enumerate(pads, 1):
-            edge = [slice(None)] * src.ndim
-            for strip in (slice(0, p0), slice(src.shape[axis] - p1, None)):
-                edge[axis] = strip
-                src[tuple(edge)] = 0
-        inner = tuple(slice(p0, p0 + s) for s, (p0, _) in zip(x.shape[1:-1], pads))
-    else:
-        src = x
-    out_sp = tuple(s - k + 1 for s, k in zip(src.shape[1:-1], ksize))
-    step = src.strides[1:-1]
-    windows = as_strided(
-        src,
-        src.shape[:1] + out_sp + tuple(ksize) + (c,),
-        src.strides[:1] + step + step + src.strides[-1:],
-        writeable=False,
-    )
-    if src is x:
-        return lambda a, b: windows[a:b]
-
-    def fields(a, b):
-        src[(slice(0, b - a),) + inner] = x[a:b]
-        return windows[: b - a]
-
-    return fields
+    return _split(n, _chunk_samples(rows, depth, filters, itemsize))
 
 
-def _conv_forward(x, w2d, ksize, pads, cols_ws, pad_ws, keep_cols=False, bias=None):
+class _ConvPlan:
+    """A convolution's lowering set-up for one per-sample input shape.
+
+    The pads, output shape, chunk size and col2im scatter spans depend
+    only on the input's per-sample shape and dtype (:attr:`key`), so a
+    layer builds them once and keeps them until that changes; a call
+    then pays only for its copies and GEMMs. The plan holds no buffer:
+    for a padded input it keeps views of the layer's pad workspace, and
+    it zeroes the border strips and rebuilds those views only when the
+    workspace hands out a new buffer. It zeroes every sample the buffer
+    holds, and chunks write only the interior, so the borders stay zero
+    for every later batch size.
+    """
+
+    def __init__(self, x: np.ndarray, ksize, padding: str, filters: int):
+        self.key = (x.shape[1:], x.dtype)
+        spatial, c = x.shape[1:-1], x.shape[-1]
+        self.ksize = tuple(ksize)
+        self.spatial = spatial
+        self.pads = tuple(_pad_amounts(s, k, padding) for s, k in zip(spatial, ksize))
+        padded = tuple(s + p0 + p1 for s, (p0, p1) in zip(spatial, self.pads))
+        self.pad_shape = padded + (c,)
+        self.pad_size = math.prod(self.pad_shape)
+        self.interior = (slice(None),) + tuple(
+            slice(p0, p0 + s) for s, (p0, _) in zip(spatial, self.pads)
+        )
+        self.out_sp = tuple(s - k + 1 for s, k in zip(padded, ksize))
+        self.field = self.out_sp + self.ksize + (c,)
+        self.rows = math.prod(self.out_sp)
+        depth = math.prod(ksize) * c
+        self.per_chunk = _chunk_samples(self.rows, depth, filters, x.itemsize)
+        self._staged = None  # (pad buffer, its interior view, its fields view)
+
+    def __getstate__(self):
+        # A copy of a view is no view: a copied plan re-derives its pad
+        # views (and re-zeroes the borders) on first use.
+        return dict(vars(self), _staged=None)
+
+    @functools.cached_property
+    def scatter(self):
+        """Per kernel offset: the (dcols slice, dx slice) col2im adds."""
+        spans = []
+        for offset in np.ndindex(*self.ksize):
+            src, dst = [slice(None)], [slice(None)]
+            for o, (p0, _), size, length in zip(offset, self.pads, self.spatial, self.out_sp):
+                lo, hi = max(0, p0 - o), min(length, size + p0 - o)
+                src.append(slice(lo, hi))
+                dst.append(slice(lo + o - p0, hi + o - p0))
+            spans.append((tuple(src) + offset, tuple(dst)))
+        return spans
+
+    def _windows_of(self, src: np.ndarray) -> np.ndarray:
+        step = src.strides[1:-1]
+        return as_strided(
+            src,
+            src.shape[:1] + self.field,
+            src.strides[:1] + step + step + src.strides[-1:],
+            writeable=False,
+        )
+
+    def fields(self, x: np.ndarray, pad_ws: _Workspace, chunk: int):
+        """``fields(a, b)``: the receptive fields of samples ``x[a:b]``.
+
+        Each result is a strided ``(b - a, *out, *ksize, c)`` view. A
+        padded ``x`` goes through ``pad_ws``, sized for ``chunk``
+        samples; each chunk copies in only its interior.
+        """
+        if self.pad_shape == x.shape[1:]:
+            windows = self._windows_of(x)
+            return lambda a, b: windows[a:b]
+        buf = pad_ws.reserve(chunk * self.pad_size, x.dtype)
+        if self._staged is None or self._staged[0] is not buf:
+            cap = buf.size // self.pad_size
+            src = buf[: cap * self.pad_size].reshape((cap,) + self.pad_shape)
+            for axis, (p0, p1) in enumerate(self.pads, 1):
+                edge = [slice(None)] * src.ndim
+                for strip in (slice(0, p0), slice(src.shape[axis] - p1, None)):
+                    edge[axis] = strip
+                    src[tuple(edge)] = 0
+            self._staged = (buf, src[self.interior], self._windows_of(src))
+        _, interior, windows = self._staged
+
+        def fields(a, b):
+            np.copyto(interior[: b - a], x[a:b])
+            return windows[: b - a]
+
+        return fields
+
+
+def _conv_plan(plan: Optional[_ConvPlan], x: np.ndarray, ksize, padding: str, filters: int):
+    """``plan`` if it was built for ``x``'s per-sample shape and dtype, else a new one."""
+    if plan is not None and plan.key == (x.shape[1:], x.dtype):
+        return plan
+    return _ConvPlan(x, ksize, padding, filters)
+
+
+def _conv_forward(x, w2d, plan, cols_ws, pad_ws, keep_cols=False, bias=None):
     """``x`` ``(n, *spatial, c)`` convolved with ``w2d`` ``(prod(ksize)*c, f)``.
 
-    Each chunk of samples gathers its receptive fields and runs its GEMM
+    ``plan`` is the :class:`_ConvPlan` of ``x``'s per-sample shape and
+    dtype. Each chunk of samples gathers its receptive fields and runs its GEMM
     into its rows of the output. Returns ``(out, cols)``: with
     ``keep_cols`` the whole batch's im2col matrix lands in ``cols_ws``
     (backward's dW needs it); otherwise ``cols_ws`` holds one chunk and
     ``cols`` is None.
     """
-    n, c = x.shape[0], x.shape[-1]
-    out_sp = tuple(
-        s + p0 + p1 - k + 1 for s, (p0, p1), k in zip(x.shape[1:-1], pads, ksize)
-    )
-    rows = int(np.prod(out_sp))
+    n, rows = x.shape[0], plan.rows
     depth, f = w2d.shape
-    bounds = _chunk_bounds(n, rows, depth, f, x.itemsize)
-    chunk = max(np.diff(bounds))
-    fields = _fields(x, ksize, pads, pad_ws, chunk)
+    bounds = _split(n, plan.per_chunk)
+    chunk = -(-n // (len(bounds) - 1))  # the largest part of an even split
+    fields = plan.fields(x, pad_ws, chunk)
     out = np.empty((n * rows, f), dtype=np.result_type(x, w2d))
     cols = cols_ws.get(((n if keep_cols else chunk) * rows, depth), x.dtype)
     for a, b in zip(bounds, bounds[1:]):
         part = cols[a * rows : b * rows] if keep_cols else cols[: (b - a) * rows]
-        np.copyto(part.reshape((b - a,) + out_sp + ksize + (c,)), fields(a, b))
+        np.copyto(part.reshape((b - a,) + plan.field), fields(a, b))
         np.matmul(part, w2d, out=out[a * rows : b * rows])
     if bias is not None:
         out += bias
-    return out.reshape((n,) + out_sp + (f,)), (cols if keep_cols else None)
+    return out.reshape((n,) + plan.out_sp + (f,)), (cols if keep_cols else None)
 
 
-def _col2im(g2, w2d, ksize, pads, dx, dcols_ws) -> None:
+def _col2im(g2, w2d, plan, dx, dcols_ws) -> None:
     """Add the input gradient of ``g2`` ``(n*rows, f)`` into zeroed ``dx``.
 
     Per chunk of samples, ``g2 @ w2dᵀ`` fills a chunk-sized dcols and the
     kernel offsets scatter-add it, in row-major order and clipped to the
     unpadded input, straight into ``dx``.
     """
-    n, c = dx.shape[0], dx.shape[-1]
-    depth, f = w2d.shape
-    rows = g2.shape[0] // n
-    out_sp = tuple(
-        s + p0 + p1 - k + 1 for s, (p0, p1), k in zip(dx.shape[1:-1], pads, ksize)
-    )
-    spans = []  # per kernel offset: (dcols slice, dx slice)
-    for offset in np.ndindex(*ksize):
-        src, dst = [slice(None)], [slice(None)]
-        for o, (p0, _), size, length in zip(offset, pads, dx.shape[1:-1], out_sp):
-            lo, hi = max(0, p0 - o), min(length, size + p0 - o)
-            src.append(slice(lo, hi))
-            dst.append(slice(lo + o - p0, hi + o - p0))
-        spans.append((tuple(src) + offset, tuple(dst)))
-    bounds = _chunk_bounds(n, rows, depth, f, dx.itemsize)
+    rows, depth = plan.rows, w2d.shape[0]
+    bounds = _split(dx.shape[0], plan.per_chunk)
     for a, b in zip(bounds, bounds[1:]):
         dcols = dcols_ws.get(((b - a) * rows, depth), dx.dtype)
         np.matmul(g2[a * rows : b * rows], w2d.T, out=dcols)
-        dcols = dcols.reshape((b - a,) + out_sp + ksize + (c,))
+        dcols = dcols.reshape((b - a,) + plan.field)
         dx_chunk = dx[a:b]
-        for src, dst in spans:
+        for src, dst in plan.scatter:
             dx_chunk[dst] += dcols[src]
 
 
@@ -415,6 +484,7 @@ class _ConvBase(Layer):
         self._cols_ws = _Workspace()
         self._dcols_ws = _Workspace()
         self._pad_ws = _Workspace()
+        self._plan: Optional[_ConvPlan] = None
 
     def forward(self, x, training):
         ksize, f = self.W.shape[:-2], self.filters
@@ -425,9 +495,9 @@ class _ConvBase(Layer):
             out = self._x2 @ self.W.reshape(-1, f)
             out += self.b
             return out.reshape(x.shape[:-1] + (f,))
-        self._pads = _conv_pads(x.shape, ksize, self.padding)
+        self._plan = _conv_plan(self._plan, x, ksize, self.padding, f)
         out, self._cols = _conv_forward(
-            x, self.W.reshape(-1, f), ksize, self._pads,
+            x, self.W.reshape(-1, f), self._plan,
             self._cols_ws, self._pad_ws, keep_cols=training, bias=self.b,
         )
         return out
@@ -444,7 +514,7 @@ class _ConvBase(Layer):
         cols = self._cols
         if cols is None:  # an inference forward kept only its input
             cols = self._cols_ws.get((grad.size // f, self.W.size // f), x.dtype)
-            fields = _fields(x, ksize, self._pads, self._pad_ws, len(x))(0, len(x))
+            fields = self._plan.fields(x, self._pad_ws, len(x))(0, len(x))
             np.copyto(cols.reshape(fields.shape), fields)
         g2 = grad.reshape(-1, f)
         # One GEMM in the orientation OpenBLAS runs faster; the bits equal
@@ -452,7 +522,7 @@ class _ConvBase(Layer):
         self.grads[0][...] = (g2.T @ cols).T.reshape(self.W.shape)
         self.grads[1][...] = grad.sum(axis=spatial_axes)
         dx = np.zeros(x.shape, dtype=cols.dtype)
-        _col2im(g2, self.W.reshape(-1, f), ksize, self._pads, dx, self._dcols_ws)
+        _col2im(g2, self.W.reshape(-1, f), self._plan, dx, self._dcols_ws)
         return dx
 
 
@@ -545,10 +615,18 @@ def _pool_windows(a: np.ndarray, p: int) -> List[np.ndarray]:
     return [a[:, i:hs:p, j:ws:p, :] for i in range(p) for j in range(p)]
 
 
-def _max_pool(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max pool: ``(pooled, first-occurrence window index)``."""
+def _max_pool(x: np.ndarray, p: int, index: bool = True):
+    """Non-overlapping max pool: ``(pooled, first-occurrence window index)``.
+
+    With ``index=False`` only the pooled values are computed, by the same
+    ``np.maximum`` chain, and the index is None.
+    """
     windows = _pool_windows(x, p)
     out = windows[0].copy()
+    if not index:
+        for v in windows[1:]:
+            np.maximum(v, out, out=out)
+        return out, None
     idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
     gt = np.empty(out.shape, dtype=bool)
     step = np.empty_like(idx)
@@ -596,12 +674,18 @@ class _MaxPool(Layer):
         return tuple(max(1, d // self.p) for d in input_shape[:-1]) + input_shape[-1:]
 
     def forward(self, x, training):
+        # Inference pools values only and keeps its input, from which a
+        # backward derives the window index.
+        self._x = None if training else x
         self._shape = x.shape
-        out, self._idx = _max_pool(x, self.p)
+        out, self._idx = _max_pool(x, self.p, index=training)
         return out
 
     def backward(self, grad):
-        return _unpool(grad, self._idx, self._shape, self.p)
+        idx = self._idx
+        if idx is None:  # an inference forward kept only its input
+            _, idx = _max_pool(self._x, self.p)
+        return _unpool(grad, idx, self._shape, self.p)
 
 
 class MaxPool2D(_MaxPool):
@@ -617,8 +701,10 @@ class ReLUDropoutPool:
 
     Byte-identical to running the three layers in turn: the same
     Dropout draws, the same first-occurrence argmax and the same
-    gradient bits. It keeps only the pooled output and the window index
-    for backward, not the input or a float dropout mask.
+    gradient bits. A training forward keeps only the pooled output and
+    the window index for backward, not the input or a float dropout
+    mask; an inference forward keeps the pooled output and a reference
+    to its input, and a backward derives the index from that.
     """
 
     def __init__(self, dropout: Dropout, pool: _MaxPool):
@@ -640,21 +726,43 @@ class ReLUDropoutPool:
             mask *= self._scale
             u = np.multiply(x, mask, out=mask)
         # ReLU commutes with the max, so it runs on the pooled output
-        # only. A window whose max is not positive is all zeros after
-        # ReLU, and the stack's first-occurrence argmax then picks its
-        # first element.
-        self._pooled, self._idx = _max_pool(u, self.pool.p)
+        # only. Inference pools values only and keeps its input (u is x
+        # then), from which a backward derives the window index.
+        self._x = None if training else x
+        self._pooled, self._idx = _max_pool(u, self.pool.p, index=training)
         np.maximum(self._pooled, 0.0, out=self._pooled)
-        self._idx *= self._pooled > 0
+        if training:
+            self._relu_index(self._idx)
         self._shape = x.shape
         return self._pooled
 
+    def _relu_index(self, idx):
+        # A window whose max is not positive is all zeros after ReLU, and
+        # the stack's first-occurrence argmax then picks its first element.
+        idx *= self._pooled > 0
+        return idx
+
     def backward(self, grad):
+        idx = self._idx
+        if idx is None:  # an inference forward kept only its input
+            idx = self._relu_index(_max_pool(self._x, self.pool.p)[1])
         # At a winner the stack's (grad * mask) * relu' is grad * (1/keep)
         # where the pooled value is positive, and grad * 0.0 elsewhere.
         w = np.multiply(self._pooled > 0, self._scale, dtype=self._pooled.dtype)
         np.multiply(grad, w, out=w)
-        return _unpool(w, self._idx, self._shape, self.pool.p)
+        return _unpool(w, idx, self._shape, self.pool.p)
+
+
+def _release_input(unit) -> None:
+    """Drop the input an inference pool kept for a backward; other units keep theirs.
+
+    A model's predict and evaluate never backpropagate, and a pool's
+    input (the conv output before pooling) is often the largest array of
+    the pass, so the model containers release it as soon as the pool has
+    answered.
+    """
+    if isinstance(unit, (_MaxPool, ReLUDropoutPool)):
+        unit._x = None
 
 
 def execution_plan(layers: Sequence[Layer]) -> List[Tuple[str, object]]:

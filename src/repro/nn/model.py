@@ -26,7 +26,7 @@ import numpy as np
 from repro.artifact import describe_source as describe_checkpoint_source
 from repro.artifact import read_artifact, write_artifact
 from repro.nn.activations import softmax
-from repro.nn.layers import Layer, execution_plan
+from repro.nn.layers import Layer, _release_input, execution_plan
 from repro.nn.losses import CategoricalCrossEntropy
 from repro.nn.optim import Adam
 from repro.nn.policy import get_policy
@@ -120,9 +120,12 @@ class Sequential:
         self._built = True
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        """Logits of ``x``; an inference pass keeps nothing for a backward."""
         out = x
         for _, unit in self._plan:
             out = unit.forward(out, training)
+            if not training:
+                _release_input(unit)
         return out
 
     def _backward(self, grad: np.ndarray) -> None:

@@ -23,7 +23,12 @@ inference-only int8 pipeline:
   :data:`EXACT_ACCUM_DEPTH`; deeper reductions (none of the paper's
   layers) may round the low bits, which the tolerance-pinned fixtures
   cover. Activations are quantised dynamically **per sample**, so a
-  batch answers exactly like the same rows served one by one.
+  batch answers exactly like the same rows served one by one. The
+  codes are computed in one fresh buffer (``|x|``, then the divide,
+  ``rint`` and ``clip`` in place), and each layer dequantises its GEMM
+  output in place; the ufuncs and their order are those of the
+  fresh-array formula, so the bits are too. The convolutions reuse the
+  float layers' per-shape lowering plan and grow-only workspaces.
 - **Model quantisation** — :func:`quantize_model` fuses then quantises
   every parameterised layer into a :class:`QuantizedSequential`;
   :func:`quantize_adapter` wraps a fitted CNN adapter
@@ -40,6 +45,7 @@ it yields is what serving deploys. The float layers have no int8 path.
 from __future__ import annotations
 
 import io
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +62,8 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
     _conv_forward,
-    _conv_pads,
+    _conv_plan,
+    _release_input,
     _Workspace,
 )
 from repro.nn.losses import CategoricalCrossEntropy
@@ -139,10 +146,13 @@ def quantize_activations(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim < 1:
         raise ValueError("expected a batched activation tensor")
-    amax = np.abs(x).reshape(x.shape[0], -1).max(axis=1)
+    # One buffer: |x| for the scales, then the codes, computed in place.
+    xq = np.abs(x)
+    amax = xq.reshape(x.shape[0], math.prod(x.shape[1:])).max(axis=1)
     scale = np.where(amax > 0, amax / QMAX, 1.0).astype(np.float32)
-    broadcast = scale.reshape((-1,) + (1,) * (x.ndim - 1))
-    xq = np.clip(np.rint(x / broadcast), -QMAX, QMAX)
+    np.divide(x, scale.reshape((-1,) + (1,) * (x.ndim - 1)), out=xq)
+    np.rint(xq, out=xq)
+    np.clip(xq, -QMAX, QMAX, out=xq)
     return xq, scale
 
 
@@ -233,6 +243,14 @@ def fuse_inference(model: Sequential) -> Sequential:
 # -- quantised layers ---------------------------------------------------------
 
 
+def _dequantize(acc: np.ndarray, a: np.ndarray, scales, bias) -> np.ndarray:
+    """``acc * (a × scales) + bias`` in place: per-sample activation scale
+    ``a`` times per-channel weight ``scales``, then the bias."""
+    np.multiply(acc, a.reshape((-1,) + (1,) * (acc.ndim - 1)) * scales, out=acc)
+    acc += bias
+    return acc
+
+
 class _QuantizedLayer:
     """Shared plumbing: int8 codes + per-output-channel float32 scales."""
 
@@ -273,7 +291,7 @@ class QuantizedDense(_QuantizedLayer):
         self._check_inference(training)
         xq, a = quantize_activations(x)
         acc = xq @ self._w2  # int8×int8 products, float32 accumulate
-        return acc * (a[:, None] * self.scales[None, :]) + self.bias
+        return _dequantize(acc, a, self.scales, self.bias)
 
 
 class _QuantizedConv(_QuantizedLayer):
@@ -299,6 +317,7 @@ class _QuantizedConv(_QuantizedLayer):
         self._w2 = np.ascontiguousarray(self._wf.reshape(-1, self.filters))
         self._cols_ws = _Workspace()
         self._pad_ws = _Workspace()
+        self._plan = None
 
     def forward(self, x, training=False):
         self._check_inference(training)
@@ -307,11 +326,9 @@ class _QuantizedConv(_QuantizedLayer):
             out = xq.reshape(-1, self.c_in) @ self._w2
             out = out.reshape(xq.shape[:-1] + (self.filters,))
         else:
-            pads = _conv_pads(xq.shape, self.ksize, self.padding)
-            out, _ = _conv_forward(
-                xq, self._w2, self.ksize, pads, self._cols_ws, self._pad_ws
-            )
-        return out * (a.reshape((-1,) + (1,) * (out.ndim - 1)) * self.scales) + self.bias
+            self._plan = _conv_plan(self._plan, xq, self.ksize, self.padding, self.filters)
+            out, _ = _conv_forward(xq, self._w2, self._plan, self._cols_ws, self._pad_ws)
+        return _dequantize(out, a, self.scales, self.bias)
 
 
 class QuantizedConv1D(_QuantizedConv):
@@ -357,6 +374,7 @@ class QuantizedSequential:
     def _forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, False)
+            _release_input(layer)
         return x
 
     def predict_proba(self, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
